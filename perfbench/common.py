@@ -53,12 +53,14 @@ def median(values) -> float:
 # ----------------------------------------------------------------------
 # Host speed
 # ----------------------------------------------------------------------
-#: Reported times are scaled to a reference host speed. On a shared host
+#: ``fit`` scales its times to a reference host speed. On a shared host
 #: the CPU's speed drifts by tens of percent within a minute (a fixed
 #: workload measured 0.40 s, then 0.56 s, ninety seconds apart), and a
-#: fixed interpreter probe, taken between measurements all through a run,
-#: tracks that drift. A scaled time reads as the wall time on a host where
-#: one probe takes ``PROBE_REFERENCE_S``; raw times are printed beside it.
+#: fixed probe, taken in the benchmark's process between fits, tracks
+#: that drift well enough to narrow fit's spread (README: on the other
+#: workloads it did not). A scaled time reads as the wall time on a host
+#: where one probe takes ``PROBE_REFERENCE_S``; the raw time is printed
+#: beside it.
 PROBE_REFERENCE_S = 0.010
 
 
@@ -171,24 +173,29 @@ def launch(args: list[str], out: Path, trace: bool, layers: str,
     )
 
 
+def _idle_priority() -> None:
+    os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+
+
 class BusyCpus:
-    """Keep every CPU out of its idle state with a lowest-priority busy
+    """Keep every CPU out of its idle state with a ``SCHED_IDLE`` busy
     loop per CPU, for as long as the ``with`` block runs.
 
     In a virtual machine, waking an idle virtual CPU waits for the host
     to schedule it again, a delay that varies with the host's load. A
     sharded EM fit hands work between its processes twice per round, so
     those wake-ups alone moved its 10 s medians by a quarter; with the
-    CPUs kept busy the spread halved. At nice 19 the loops yield to the
-    program on demand and take about 1.5% of a CPU from it under
-    contention.
+    CPUs kept busy the spread halved. A ``SCHED_IDLE`` task runs only
+    when nothing else wants the CPU, and any other task that wakes
+    preempts it at once; a nice-19 loop can make a waking thread wait
+    for the loop's time slice to end.
     """
 
     def __enter__(self) -> "BusyCpus":
         self.procs = [
             subprocess.Popen(
                 [sys.executable, "-c", "while True: pass"],
-                preexec_fn=lambda: os.nice(19),
+                preexec_fn=_idle_priority,
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             )
             for _ in range(os.cpu_count() or 1)

@@ -7,9 +7,11 @@
 ``kbt`` does. ``em`` runs the library's sharded EM loop (see
 :func:`run_em`). ``--layers`` names the groups of public functions to
 wrap (``none`` measures with tracing off). The launcher records when
-its imports finished (a ``time.monotonic`` reading, comparable with the
-parent's on the same host), the program's wall time, its peak RSS and
-the trace, and writes them to ``--out`` when the program returns.
+the program's imports finished (a ``time.monotonic`` reading, comparable
+with the parent's on the same host), the program's wall time, its peak
+RSS and the trace, and writes them to ``--out`` when the program returns.
+The program is imported before any benchmark module, and the tracer only
+when a run is traced, so the import time is the program's alone.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import resource
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from common import probe  # noqa: E402
-from tracer import CALL, FOLD, GEN, Tracer  # noqa: E402
+#: Span kinds, as ``tracer`` names them: a call, a call folded into a
+#: counted span, and a generator whose steps fold into one.
+CALL, FOLD, GEN = "call", "fold", "gen"
 
 #: Public functions per layer group, patched where their callers look
 #: them up. Span names are ``<module>.<stage>``.
@@ -96,7 +97,7 @@ def result_digest(result) -> str:
     return digest.hexdigest()
 
 
-def run_em(argv: list[str], tracer: Tracer | None, specs) -> dict:
+def run_em(argv: list[str], tracer, specs) -> dict:
     """Sharded EM on prebuilt matrices, repeated for ``--seconds``.
 
     One matrix is built per ``--corpus`` (the set-up the benchmark
@@ -119,15 +120,12 @@ def run_em(argv: list[str], tracer: Tracer | None, specs) -> dict:
     from repro.core.observation import ObservationMatrix
     from repro.io.jsonl import read_records
 
-    # Host-speed probes run between timings, never during one.
-    probes = [probe()]
     builds = []
     matrices = []
     for path in args.corpus:
         start = time.perf_counter()
         matrices.append(ObservationMatrix.from_records(read_records(path)))
         builds.append(time.perf_counter() - start)
-        probes.append(probe())
     config = MultiLayerConfig(
         absence_scope=AbsenceScope.ACTIVE, engine="numpy"
     )
@@ -159,14 +157,16 @@ def run_em(argv: list[str], tracer: Tracer | None, specs) -> dict:
             if traced:
                 tracer.uninstall()
         wall = time.perf_counter() - start
-        probes.append(probe())
         fits.append({"wall_s": wall, "traced": traced, "corpus": index,
                      "digest": result_digest(fitted.result),
                      "rounds": len(fitted.result.history)})
-    return {"builds_s": builds, "fits": fits, "probes": probes}
+    return {"builds_s": builds, "fits": fits}
 
 
 def main() -> int:
+    import repro.cli
+
+    ready = time.monotonic()
     parser = argparse.ArgumentParser(prog="launch.py")
     parser.add_argument("--out", required=True)
     parser.add_argument("--layers", default="none")
@@ -176,11 +176,11 @@ def main() -> int:
     groups = [] if args.layers == "none" else args.layers.split(",")
     specs = [spec for group in groups for spec in LAYERS[group]]
     run_id = f"{args.mode}-{os.getpid()}"
-    tracer = Tracer(run_id) if specs else None
+    tracer = None
+    if specs:
+        from tracer import Tracer
 
-    import repro.cli
-
-    ready = time.monotonic()
+        tracer = Tracer(run_id)
     report = {"ready": ready, "run_id": run_id}
     if args.mode == "cli":
         if tracer is not None:

@@ -1,6 +1,5 @@
-"""HTTP/1.1 load generator: one thread, a few keep-alive connections,
-requests pipelined on a fixed schedule (``run_phase``, open loop) or kept
-at a fixed depth in flight (``saturate``, closed loop at capacity).
+"""HTTP/1.1 open-loop load generator: one thread, a few keep-alive
+connections, requests pipelined on a fixed schedule (``run_phase``).
 
 Request ``i`` is due at ``start + i / rate`` whatever the server does; it
 is written to connection ``i % connections`` when due and its latency
@@ -147,76 +146,6 @@ def run_phase(address, requests: list[bytes], rate: float, duration: float,
         for conn in conns:
             conn.close()
     return phase
-
-
-def saturate(address, requests: list[bytes], duration: float,
-             connections: int, depth: int, timeout: float = 2.0,
-             offset: int = 0,
-             clock=time.monotonic) -> tuple[int, int, float]:
-    """Closed loop at capacity: keep ``depth`` requests in flight on each
-    connection for ``duration`` seconds, then drain.
-
-    Returns ``(completed, failed, elapsed)``: 2xx responses, other
-    responses plus requests unanswered within ``timeout``, and seconds
-    from the first send to the last response.
-    """
-    conns = [_Conn(address) for _ in range(connections)]
-    selector = selectors.SelectSelector()
-    for conn in conns:
-        selector.register(conn.sock, selectors.EVENT_READ, conn)
-    completed = failed = 0
-    sent = offset
-    try:
-        start = clock()
-        last = start
-        for conn in conns:
-            for _ in range(depth):
-                conn.out += requests[sent % len(requests)]
-                conn.pending.append((sent, start))
-                sent += 1
-        while True:
-            for conn in conns:
-                if conn.out:
-                    try:
-                        del conn.out[:conn.sock.send(conn.out)]
-                    except BlockingIOError:
-                        pass
-            if all(c.head == len(c.pending) for c in conns):
-                break
-            events = selector.select(timeout)
-            if not events:
-                failed += sum(len(c.pending) - c.head for c in conns)
-                break
-            for key, _events in events:
-                conn = key.data
-                try:
-                    data = conn.sock.recv(1 << 16)
-                except BlockingIOError:
-                    continue
-                if not data:
-                    raise ConnectionError("server closed the connection")
-                conn.buf += data
-                last = clock()
-                while conn.head < len(conn.pending):
-                    parsed = _parse(conn.buf)
-                    if parsed is None:
-                        break
-                    status, _body, used = parsed
-                    del conn.buf[:used]
-                    conn.head += 1
-                    if 200 <= status < 300:
-                        completed += 1
-                    else:
-                        failed += 1
-                    if last - start < duration:
-                        conn.out += requests[sent % len(requests)]
-                        conn.pending.append((sent, last))
-                        sent += 1
-    finally:
-        selector.close()
-        for conn in conns:
-            conn.close()
-    return completed, failed, last - start
 
 
 def get_request(target: str) -> bytes:

@@ -9,12 +9,16 @@ import inspect
 import socket
 import threading
 import time
+from collections import Counter
+from urllib.parse import urlsplit
 
 import pytest
 
 from common import median, percentile, samples_beyond, supported
 from loadgen import get_request, run_phase
 from tracer import CALL, Tracer, self_times, unaccounted_ns
+from wl_serve import ROUTE_KEYS, ROUTE_MIX, ZIPF_EXPONENT, _targets, \
+    lru_hits
 
 
 # ----------------------------------------------------------------------
@@ -195,3 +199,53 @@ def test_timeouts_count_as_failures():
     assert phase.sent == 20
     assert phase.failed == 20
     assert phase.latencies == []
+
+
+# ----------------------------------------------------------------------
+# Serve traffic
+# ----------------------------------------------------------------------
+class _Store:
+    """The two things ``_targets`` reads from an ``MmapTrustStore``."""
+
+    def __init__(self, sites: int, pages_per_site: int) -> None:
+        self.sites = [f"site{i}.example" for i in range(sites)]
+        self._page_index = {(site, f"/p{j}"): None for site in self.sites
+                            for j in range(pages_per_site)}
+
+    def websites(self):
+        return iter(self.sites)
+
+
+def test_serve_mix_is_fixed_for_every_seed():
+    store = _Store(sites=130, pages_per_site=3)
+    sequences = [_targets(store, seed) for seed in (1, 2)]
+    assert sequences[0] != sequences[1]
+    for targets in sequences:
+        routes = [urlsplit(t).path for t in targets]
+        # Every block of eight holds the mix exactly.
+        for start in range(0, 800, 8):
+            assert Counter(routes[start:start + 8]) == Counter(ROUTE_MIX)
+        by_route: dict[str, Counter] = {}
+        for route, target in zip(routes, targets):
+            by_route.setdefault(route, Counter())[target] += 1
+        for route, counts in by_route.items():
+            assert len(counts) <= ROUTE_KEYS[route]
+        # Zipf within a route: the top key's share is 1 / H(n, s).
+        score = by_route["/score"]
+        harmonic = sum(1 / r ** ZIPF_EXPONENT
+                       for r in range(1, ROUTE_KEYS["/score"] + 1))
+        top_share = score.most_common(1)[0][1] / sum(score.values())
+        assert abs(top_share - 1 / harmonic) < 0.02
+
+
+def test_lru_replay_counts_hits_of_measured_requests_only():
+    targets = ["a", "b", "a", "c", "b", "a"]
+    # Cache of two: a, b miss; a hits; c evicts b; b misses and evicts
+    # a; a misses.
+    assert lru_hits(targets, [(0, 6, True)], entries=2) == (1, 6)
+    # Unmeasured requests still warm the cache.
+    assert lru_hits(targets, [(0, 2, False), (2, 1, True)],
+                    entries=2) == (1, 1)
+    # Offsets wrap around the sequence: a and b were the last two.
+    assert lru_hits(targets, [(0, 6, False), (6, 2, True)],
+                    entries=2) == (2, 2)

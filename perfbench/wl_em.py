@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 
 from common import ROOT, BenchError, BusyCpus, finish, fresh_dir, launch, \
-    median, read_json, speed_factor, tail
+    median, read_json, tail
 from inputs import CACHE, RECORDS, corpus, sub_seeds
 from launch import result_digest
 from tracer import by_name, self_times
@@ -43,18 +43,17 @@ def _reference_digest(path, seed: int) -> str:
     return digest
 
 
-def _layers(trace: dict, k: float) -> dict:
-    """Per-fit layer figures from one traced fit's spans, times scaled by
-    ``k`` to the reference host speed."""
+def _layers(trace: dict) -> dict:
+    """Per-fit layer figures from one traced fit's spans."""
     selfs = self_times(trace)
 
     def seconds(name):
-        return k * sum(end - start for _i, _n, start, end, _p
+        return sum(end - start for _i, _n, start, end, _p
                        in by_name(trace, name)) / 1e9
 
     def per_call_ms(name):
         spans = by_name(trace, name)
-        return k * median([(end - start) / 1e6
+        return median([(end - start) / 1e6
                            for _i, _n, start, end, _p in spans])
 
     root = by_name(trace, "em.fit")[0]
@@ -107,10 +106,8 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
                  if fit["digest"] != expected[fit["corpus"]])
     if any(fit["rounds"] != ITERATIONS for fit in fits):
         raise BenchError("sharded EM did not run the fixed iteration count")
-    k = speed_factor(report["probes"])
-    raw = [fit["wall_s"] for fit in fits if not fit["traced"]]
-    plain = [k * wall for wall in raw]
-    builds = [k * wall for wall in report["builds_s"]]
+    plain = [fit["wall_s"] for fit in fits if not fit["traced"]]
+    builds = report["builds_s"]
     result = {
         "attempted": len(fits),
         "failed": failed,
@@ -122,24 +119,21 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
         "report": {
             "em.wall_s": (median(plain), "s", len(plain)),
             **tail("em.wall_s", plain, "s"),
-            "em.wall_s_raw": (median(raw), "s", len(raw)),
             "em.record_iterations_per_s": (
                 RECORDS * ITERATIONS / median(plain), "1/s", len(plain)),
             "em.build_s": (median(builds), "s", len(builds)),
             "em.iterations": (ITERATIONS, "count", 1),
             "em.records": (RECORDS, "count", 1),
-            "host.probe_ms": (median(report["probes"]) * 1e3, "ms",
-                              len(report["probes"])),
         },
     }
     if trace:
         traced = [fit for fit in fits if fit["traced"]]
-        layers = [_layers(t, k) for t in _split_traces(report["trace"])]
+        layers = [_layers(t) for t in _split_traces(report["trace"])]
         result["layers"] = {
             name: median([layer[name] for layer in layers])
             for name in layers[0]
         }
         result["layers"]["trace.overhead_ratio"] = median(
             [fit["wall_s"] for fit in traced]
-        ) / median(raw)
+        ) / median(plain)
     return result

@@ -17,8 +17,7 @@ import subprocess
 import time
 
 from common import ROOT, BenchError, free_port, fresh_dir, get_json, \
-    kill_all, launch, median, probe, read_json, speed_factor, stop, tail, \
-    wait_ready
+    kill_all, launch, median, read_json, stop, tail, wait_ready
 from inputs import CACHE, RECORDS, corpus, split_by_site, sub_seeds, \
     write_lines
 from tracer import by_name, fold_of
@@ -29,6 +28,11 @@ BATCH = 100
 SWEEPS = 2
 #: Batches per gateway + ingest pair at least, however short the run.
 MIN_BATCHES = 6
+#: Seconds a batch takes on a 2-vCPU VM, to turn ``--seconds`` into a
+#: batch count. A run feeds that count however fast the host is: the
+#: ingest process's memory grows with the records it has taken in, so a
+#: count set by the host's speed would make its peak RSS follow the host.
+NOMINAL_BATCH_S = 0.5
 BATCH_TIMEOUT_S = 30.0
 
 
@@ -52,12 +56,9 @@ def _inputs(seed: int):
 
 class _Pair:
     """One gateway + one ``kbt ingest`` over a fresh copy of the cold
-    artifact; ``setup_s`` runs from spawning both until both are ready.
-    Host-speed probes taken while both idle are appended to ``probes``."""
+    artifact; ``setup_s`` runs from spawning both until both are ready."""
 
-    def __init__(self, cold, directory, traced: bool, procs: list,
-                 probes: list) -> None:
-        self.probes = probes
+    def __init__(self, cold, directory, traced: bool, procs: list) -> None:
         fresh_dir(directory)
         self.directory = directory
         artifact = directory / "cold.kbt"
@@ -86,7 +87,6 @@ class _Pair:
         self.ready = wait_ready(self.port, self.gateway)
         self._wait_ingest_ready()
         self.setup_s = time.monotonic() - spawned
-        probes.append(probe())
 
     def _wait_ingest_ready(self, timeout: float = 60.0) -> None:
         deadline = time.monotonic() + timeout
@@ -100,17 +100,14 @@ class _Pair:
                     break
         raise BenchError("kbt ingest did not start")
 
-    def feed(self, batches, seconds: float, min_batches: int):
+    def feed(self, batches):
         """Closed loop: append a batch, wait until it is served. Returns
         the served times and every served etag."""
         conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
         spool_file = self.spool / "stream.jsonl"
         served, etags = [], [self.ready["etag"]]
-        deadline = time.monotonic() + seconds
         try:
             for number, batch in enumerate(batches, 1):
-                if number > min_batches and time.monotonic() >= deadline:
-                    break
                 with open(spool_file, "a", encoding="utf-8") as handle:
                     handle.write("\n".join(batch) + "\n")
                 appended = time.monotonic()
@@ -123,7 +120,6 @@ class _Pair:
                     time.sleep(0.002)
                 served.append(time.monotonic() - appended)
                 etags.append(ready["etag"])
-                self.probes.append(probe())
         finally:
             conn.close()
         return served, etags
@@ -166,14 +162,18 @@ def _check(pair, cold, batches, etags) -> int:
     return failed
 
 
-def _phase(cold, stream, directory, traced, seconds, procs, probes):
-    pair = _Pair(cold, directory, traced, procs, probes)
+def _phase(cold, stream, directory, traced, seconds, procs):
+    """One gateway + ingest pair fed the batches ``seconds`` allow."""
+    pair = _Pair(cold, directory, traced, procs)
+    count = max(MIN_BATCHES, round(seconds / NOMINAL_BATCH_S))
     batches = [stream[i:i + BATCH]
-               for i in range(0, len(stream) - BATCH + 1, BATCH)]
-    served, etags = pair.feed(batches, seconds, min_batches=MIN_BATCHES)
+               for i in range(0, BATCH * count, BATCH)]
+    if len(batches[-1]) < BATCH:
+        raise BenchError(f"{len(stream)} held-out records are too few for "
+                         f"{count} batches")
+    served, etags = pair.feed(batches)
     ingest, gateway = pair.close()
-    done = batches[:len(served)]
-    failed = _check(pair, cold, done, etags)
+    failed = _check(pair, cold, batches, etags)
     return {"served": served, "failed": failed, "ingest": ingest,
             "gateway": gateway, "setup_s": pair.setup_s}
 
@@ -182,56 +182,49 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
     inputs = [_inputs(s) for s in sub_seeds(seed)]
     work = fresh_dir(ROOT / ".perfbench" / "run-ingest")
     procs: list = []
-    probes = [probe()]
     try:
         if trace:
-            return _run_traced(*inputs[0], work, seconds, procs, probes)
+            return _run_traced(*inputs[0], work, seconds, procs)
         # One gateway + ingest pair per corpus, each fed a third of the
         # seconds: three set-ups, and batches from three corpora.
         phases = [
             _phase(cold, stream, work / f"run-{index}", False,
-                   seconds / len(inputs), procs, probes)
+                   seconds / len(inputs), procs)
             for index, (cold, stream) in enumerate(inputs)
         ]
     finally:
         kill_all(procs)
-    k = speed_factor(probes)
-    raw = [value for phase in phases for value in phase["served"]]
-    served = [k * value for value in raw]
+    served = [value for phase in phases for value in phase["served"]]
     p50 = median(served) * 1e3
     rss = median([phase["ingest"]["maxrss_kb"] for phase in phases]) / 1024
     return {
         "attempted": len(served),
         "failed": sum(phase["failed"] for phase in phases),
         "e2e": {
-            "setup_s": k * median([phase["setup_s"] for phase in phases]),
+            "setup_s": median([phase["setup_s"] for phase in phases]),
             "latency_ms": p50,
             "peak_rss_mb": rss,
         },
         "report": {
             "ingest.served_ms_p50": (p50, "ms", len(served)),
             **tail("ingest.served_ms", [v * 1e3 for v in served], "ms"),
-            "ingest.served_ms_p50_raw": (median(raw) * 1e3, "ms", len(raw)),
             "ingest.records_per_s": (BATCH / median(served), "1/s",
                                      len(served)),
             "ingest.batch_records": (BATCH, "count", 1),
             "ingest.peak_rss_mb": (rss, "MB", len(phases)),
-            "host.probe_ms": (median(probes) * 1e3, "ms", len(probes)),
         },
     }
 
 
-def _run_traced(cold, stream, work, seconds, procs, probes) -> dict:
-    plain = _phase(cold, stream, work / "plain", False, seconds / 2, procs,
-                   probes)
-    traced = _phase(cold, stream, work / "traced", True, seconds / 2, procs,
-                    probes)
+def _run_traced(cold, stream, work, seconds, procs) -> dict:
+    plain = _phase(cold, stream, work / "plain", False, seconds / 2, procs)
+    traced = _phase(cold, stream, work / "traced", True, seconds / 2,
+                    procs)
     ingest = traced["ingest"]["trace"]
     gateway = traced["gateway"]["trace"]
-    k = speed_factor(probes)
 
     def per_call_ms(trace, name):
-        return k * median([(end - start) / 1e6
+        return median([(end - start) / 1e6
                            for _i, _n, start, end, _p in by_name(trace, name)])
 
     polls = fold_of(ingest, "stream.poll")["durations_ns"]
@@ -243,7 +236,7 @@ def _run_traced(cold, stream, work, seconds, procs, probes) -> dict:
             "kbt.update_ms": per_call_ms(ingest, "kbt.update"),
             "kbt.save_ms": per_call_ms(ingest, "kbt.save"),
             "policy.observe_ms": per_call_ms(ingest, "policy.observe"),
-            "stream.poll_ms": k * median(polls) / 1e6,
+            "stream.poll_ms": median(polls) / 1e6,
             "ingest.refits": len(by_name(ingest, "ingest.refit")),
             "artifact.load_s": per_call_ms(ingest, "artifact.load") / 1e3,
             "manager.swap_ms": per_call_ms(gateway, "manager.swap"),

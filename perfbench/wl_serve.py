@@ -1,10 +1,12 @@
 """Workload ``serve``: ``kbt serve --gateway`` in its own process, driven
-by the load generator: open loop at a reference rate, a closed loop at
-capacity, and open loop up a fixed ladder of rates.
+by the open-loop load generator at a reference rate and up a fixed ladder
+of rates.
 
 The route mix is ``/score``, ``/page``, ``/batch``, ``/breakdown`` and
-``/top`` with Zipf-skewed keys over a key space several times the
-gateway's 1024-entry response cache, so both hits and misses occur.
+``/top`` in fixed shares, with Zipf-skewed keys within each route over a
+key space four times the gateway's 1024-entry response cache, so both
+hits and misses occur. Every seed serves the same mix; the seed picks
+which sites, pages and triples the keys are and which rank each gets.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import os
 import random
 import shutil
 import time
+from collections import Counter, OrderedDict
 from urllib.parse import parse_qs, quote, urlsplit
 
 from common import ROOT, BenchError, BusyCpus, free_port, fresh_dir, \
-    kill_all, launch, median, peak_rss_mb, percentile, probe, read_json, \
-    speed_factor, stop, tail, wait_ready
+    kill_all, launch, median, peak_rss_mb, percentile, read_json, stop, \
+    tail, wait_ready
 from inputs import CACHE, RECORDS, corpus, sub_seeds
-from loadgen import get_request, run_phase, saturate
+from loadgen import get_request, run_phase
 from tracer import fold_of
 from wl_fit import cli_estimator, source_stamp
 
@@ -30,21 +33,31 @@ REFERENCE_RATE = 1000
 #: Fixed ladder climbed for the highest rate meeting the limit.
 LADDER = (1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000, 12000)
 #: Seconds per ladder rate.
-STEP_S = 0.5
+STEP_S = 0.3
 #: p99 limit (due-time latency) a ladder rate must meet.
 LIMIT_S = 0.050
 WARMUP_S = 1.5
-#: Shares of the run's seconds spent at the reference rate (in three
-#: slices) and at saturation.
-REFERENCE_SHARE = 0.4
-SATURATION_SHARE = 0.3
-#: Requests kept in flight per connection while saturating.
-SATURATION_DEPTH = 16
+#: Share of the run's seconds spent at the reference rate, in three slices.
+REFERENCE_SHARE = 0.8
+#: Requests per route in every block of eight. This is the cycle of
+#: ``benchmarks/bench_serving_v2.py`` (three /score, one each of /batch,
+#: /top, /breakdown, /percentile and /healthz) with its two slots outside
+#: this workload's routes given to /page, the one route it lacks.
+ROUTE_MIX = {"/score": 3, "/page": 2, "/batch": 1, "/breakdown": 1,
+             "/top": 1}
+#: Distinct keys per route, the same for every seed: 4096 in all, four
+#: times the gateway's 1024-entry response cache. Site and page routes
+#: stay below the smallest site and page counts of the corpora (about 120
+#: scored sites and 380 pages); /batch site triples make up the rest.
+ROUTE_KEYS = {"/score": 64, "/page": 256, "/batch": 3648, "/breakdown": 64,
+              "/top": 64}
+#: Key popularity within a route is Zipf: the key of rank r is drawn with
+#: weight 1 / r ** ZIPF_EXPONENT. Breslau et al. ("Web Caching and
+#: Zipf-like Distributions: Evidence and Implications", INFOCOM 1999)
+#: measured exponents from 0.64 to 0.83 in web proxy traces.
 ZIPF_EXPONENT = 0.8
-#: Distinct targets, four times the gateway's 1024-entry response cache:
-#: every site and page target plus /batch triples up to this count. A
-#: fixed size keeps the cache-hit share the same for every seed.
-KEY_SPACE = 4096
+#: The gateway's default response cache (``Gateway(cache_size=1024)``).
+CACHE_ENTRIES = 1024
 SAMPLED_BODIES = 200
 SEQUENCE = 50_000
 
@@ -73,31 +86,84 @@ def fresh_copy(artifact, directory):
     return target
 
 
-def _targets(store, seed: int) -> list[str]:
-    """The seed's request sequence: Zipf ranks over a shuffled key space."""
-    rng = random.Random(seed)
+def _route_keys(store, rng: random.Random) -> dict[str, list[str]]:
+    """Each route's keys, in Zipf rank order (most requested first)."""
     sites = sorted(store.websites())
     pages = sorted(store._page_index)
-    keys = {f"/top?k={k}" for k in range(1, 101)}
-    keys.update(f"/score?site={quote(s)}" for s in sites)
-    keys.update(f"/breakdown?site={quote(s)}" for s in sites)
-    keys.update(f"/page?site={quote(s)}&page={quote(p)}" for s, p in pages)
-    if len(keys) > KEY_SPACE:
-        raise BenchError(f"{len(keys)} targets exceed the key space")
-    while len(keys) < KEY_SPACE:
-        keys.add("/batch?sites="
-                 + ",".join(quote(s) for s in rng.sample(sites, 3)))
-    keys = sorted(keys)
-    rng.shuffle(keys)
-    weights = [1.0 / (rank ** ZIPF_EXPONENT)
-               for rank in range(1, len(keys) + 1)]
-    return rng.choices(keys, weights=weights, k=SEQUENCE)
+    if (len(sites) < max(ROUTE_KEYS["/score"], ROUTE_KEYS["/breakdown"])
+            or len(pages) < ROUTE_KEYS["/page"]):
+        raise BenchError(f"{len(sites)} sites and {len(pages)} pages are "
+                         "too few for the serve key space")
+    top = [f"/top?k={k}" for k in range(1, ROUTE_KEYS["/top"] + 1)]
+    rng.shuffle(top)
+    batch: set[str] = set()
+    while len(batch) < ROUTE_KEYS["/batch"]:
+        batch.add("/batch?sites="
+                  + ",".join(quote(s) for s in rng.sample(sites, 3)))
+    batch_keys = sorted(batch)
+    rng.shuffle(batch_keys)
+    return {
+        "/score": [f"/score?site={quote(s)}"
+                   for s in rng.sample(sites, ROUTE_KEYS["/score"])],
+        "/page": [f"/page?site={quote(s)}&page={quote(p)}"
+                  for s, p in rng.sample(pages, ROUTE_KEYS["/page"])],
+        "/batch": batch_keys,
+        "/breakdown": [f"/breakdown?site={quote(s)}"
+                       for s in rng.sample(sites, ROUTE_KEYS["/breakdown"])],
+        "/top": top,
+    }
 
 
-def _start_gateway(artifact, directory, traced: bool, procs: list,
-                   probes: list):
-    """Spawn a gateway on a fresh copy; returns it with its set-up time
-    and probes the host speed once it is ready (and idle)."""
+def _targets(store, seed: int) -> list[str]:
+    """The seed's request sequence: blocks of eight holding exactly
+    ``ROUTE_MIX`` in a seeded order, each request's key drawn by Zipf
+    rank within its route."""
+    rng = random.Random(seed)
+    keys = _route_keys(store, rng)
+    blocks = SEQUENCE // sum(ROUTE_MIX.values())
+    draws = {
+        route: iter(rng.choices(
+            keys[route],
+            weights=[1.0 / rank ** ZIPF_EXPONENT
+                     for rank in range(1, len(keys[route]) + 1)],
+            k=per_block * blocks,
+        ))
+        for route, per_block in ROUTE_MIX.items()
+    }
+    block = [route for route, n in ROUTE_MIX.items() for _ in range(n)]
+    targets = []
+    for _ in range(blocks):
+        rng.shuffle(block)
+        targets.extend(next(draws[route]) for route in block)
+    return targets
+
+
+def lru_hits(targets: list[str], sent, entries: int = CACHE_ENTRIES):
+    """Replay the requests sent, in order, through an LRU cache of the
+    gateway's size; returns (hits, requests) over the measured ones.
+
+    ``sent`` lists ``(offset, count, measured)`` phases; request ``i`` of
+    a phase is ``targets[(offset + i) % len(targets)]``."""
+    cache: OrderedDict[str, None] = OrderedDict()
+    hits = requests = 0
+    for offset, count, measured in sent:
+        for index in range(offset, offset + count):
+            target = targets[index % len(targets)]
+            hit = target in cache
+            if hit:
+                cache.move_to_end(target)
+            else:
+                cache[target] = None
+                if len(cache) > entries:
+                    cache.popitem(last=False)
+            if measured:
+                requests += 1
+                hits += hit
+    return hits, requests
+
+
+def _start_gateway(artifact, directory, traced: bool, procs: list):
+    """Spawn a gateway on a fresh copy; returns it with its set-up time."""
     model = fresh_copy(artifact, directory)
     port = free_port()
     out = directory / "gateway.json"
@@ -107,7 +173,6 @@ def _start_gateway(artifact, directory, traced: bool, procs: list,
     procs.append(proc)
     wait_ready(port, proc)
     setup = time.monotonic() - spawned
-    probes.append(probe())
     return proc, port, out, setup
 
 
@@ -161,8 +226,11 @@ class _Traffic:
         self.requests = requests
         self.connections = connections
         self.cursor = 0
+        #: ``(offset, count, measured)`` of every phase, for ``lru_hits``
+        self.sent: list[tuple[int, int, bool]] = []
 
-    def phase(self, rate: float, duration: float, sample: int = 0):
+    def phase(self, rate: float, duration: float, sample: int = 0,
+              measured: bool = False):
         """An open-loop phase; keeps about ``sample`` response bodies."""
         count = max(1, int(rate * duration))
         keep = (set(range(self.cursor, self.cursor + count,
@@ -170,16 +238,9 @@ class _Traffic:
                 if sample else set())
         result = run_phase(self.address, self.requests, rate, duration,
                            self.connections, keep=keep, offset=self.cursor)
+        self.sent.append((self.cursor, count, measured))
         self.cursor += count
         return result
-
-    def saturate(self, duration: float) -> tuple[int, int, float]:
-        completed, failed, elapsed = saturate(
-            self.address, self.requests, duration, self.connections,
-            SATURATION_DEPTH, offset=self.cursor,
-        )
-        self.cursor += completed + failed
-        return completed, failed, elapsed
 
 
 def _meets_limit(phase) -> bool:
@@ -189,7 +250,7 @@ def _meets_limit(phase) -> bool:
             and percentile(phase.latencies, 99) <= LIMIT_S)
 
 
-def _climb(traffic: _Traffic, probes: list):
+def _climb(traffic: _Traffic):
     """Highest ladder rate meeting the limit; a rate that misses gets one
     more try (one stall should not end the climb), a second miss ends it."""
     max_rps = 0
@@ -197,7 +258,6 @@ def _climb(traffic: _Traffic, probes: list):
     for rate in LADDER:
         for _attempt in range(2):
             phase = traffic.phase(rate, STEP_S)
-            probes.append(probe())
             tries += 1
             if _meets_limit(phase):
                 break
@@ -207,21 +267,36 @@ def _climb(traffic: _Traffic, probes: list):
     return max_rps, tries
 
 
-def _reference(traffic: _Traffic, seconds: float, probes: list,
+def _reference(traffic: _Traffic, seconds: float,
                sample: int = SAMPLED_BODIES):
     """A reference-rate phase keeping about ``sample`` bodies to check."""
-    phase = traffic.phase(REFERENCE_RATE, seconds, sample=sample)
-    probes.append(probe())
-    return phase
+    return traffic.phase(REFERENCE_RATE, seconds, sample=sample,
+                         measured=True)
+
+
+def _mix(targets: list[str], traffic: _Traffic) -> dict:
+    """Report lines: each route's share of the measured requests and the
+    share the gateway's response cache answers."""
+    routes: Counter = Counter()
+    for offset, count, measured in traffic.sent:
+        if measured:
+            routes.update(urlsplit(targets[index % len(targets)]).path
+                          for index in range(offset, offset + count))
+    total = sum(routes.values())
+    hits, requests = lru_hits(targets, traffic.sent)
+    return {
+        **{f"serve.share{route.replace('/', '.')}": (
+            routes[route] / total, "ratio", total) for route in ROUTE_MIX},
+        "serve.cache_hit_ratio_lru": (hits / requests, "ratio", requests),
+    }
 
 
 def _run_plain(artifact, work, store, targets, requests, connections,
                seconds, procs) -> dict:
-    probes = [probe()]
     setups = []
     for index in range(SETUPS):
         proc, port, _out, setup = _start_gateway(
-            artifact, work / f"gateway-{index}", False, procs, probes
+            artifact, work / f"gateway-{index}", False, procs
         )
         setups.append(setup)
         if index < SETUPS - 1:
@@ -231,19 +306,14 @@ def _run_plain(artifact, work, store, targets, requests, connections,
     # The reference rate is measured in three slices spread over the run,
     # so one stretch of host noise does not set the whole run's figure.
     slice_s = REFERENCE_SHARE * seconds / 3
-    slices = [_reference(traffic, slice_s, probes, SAMPLED_BODIES // 3)]
-    # Peak memory at the reference load, read before the closed loop and
-    # the ladder overload the gateway and make its queues grow.
+    slices = [_reference(traffic, slice_s, SAMPLED_BODIES // 3)]
+    # Peak memory at the reference load, read before the ladder overloads
+    # the gateway and makes its queues grow.
     rss = peak_rss_mb(proc.pid)
-    completed, saturation_failed, elapsed = traffic.saturate(
-        SATURATION_SHARE * seconds
-    )
-    probes.append(probe())
-    slices.append(_reference(traffic, slice_s, probes, SAMPLED_BODIES // 3))
-    max_rps, tries = _climb(traffic, probes)
-    slices.append(_reference(traffic, slice_s, probes, SAMPLED_BODIES // 3))
+    slices.append(_reference(traffic, slice_s, SAMPLED_BODIES // 3))
+    max_rps, tries = _climb(traffic)
+    slices.append(_reference(traffic, slice_s, SAMPLED_BODIES // 3))
     stop(proc)
-    k = speed_factor(probes)
 
     latencies = [lat for phase in slices for lat in phase.latencies]
     lateness = [late for phase in slices for late in phase.lateness]
@@ -252,37 +322,29 @@ def _run_plain(artifact, work, store, targets, requests, connections,
         raise BenchError("no request at the reference rate succeeded")
     # The ladder pushes the gateway past its limit on purpose: failures
     # there set max_rps and are not incorrect outputs.
-    attempted = sum(phase.sent for phase in slices) + completed \
-        + saturation_failed
-    failed = (sum(phase.failed for phase in slices) + saturation_failed
+    attempted = sum(phase.sent for phase in slices)
+    failed = (sum(phase.failed for phase in slices)
               + _check_bodies(store, targets, bodies))
-    p50 = k * median(latencies) * 1e3
-    rps = completed / elapsed / k
+    p50 = median(latencies) * 1e3
     return {
         "attempted": attempted,
         "failed": failed,
         "e2e": {
-            "setup_s": k * median(setups),
+            "setup_s": median(setups),
             "latency_ms": p50,
             "peak_rss_mb": rss,
         },
         "report": {
             "serve.p50_ms": (p50, "ms", len(latencies)),
-            **tail("serve.latency_ms", [k * v * 1e3 for v in latencies],
-                   "ms"),
-            "serve.p50_ms_raw": (median(latencies) * 1e3, "ms",
-                                 len(latencies)),
-            "serve.saturated_rps": (rps, "1/s", completed),
-            "serve.saturated_rps_raw": (completed / elapsed, "1/s",
-                                        completed),
+            **tail("serve.latency_ms", [v * 1e3 for v in latencies], "ms"),
             "serve.max_rps": (max_rps, "1/s", tries),
             "serve.reference_rps": (REFERENCE_RATE, "1/s", 1),
             "serve.limit_p99_ms": (LIMIT_S * 1e3, "ms", 1),
             "serve.late_ms_p99": (percentile(lateness, 99) * 1e3, "ms",
                                   len(lateness)),
+            **_mix(targets, traffic),
             "serve.bodies_checked": (len(bodies), "count", 1),
             "serve.peak_rss_mb": (rss, "MB", 1),
-            "host.probe_ms": (median(probes) * 1e3, "ms", len(probes)),
         },
     }
 
@@ -291,40 +353,40 @@ def _run_traced(artifact, work, store, targets, requests, connections,
                 seconds, procs) -> dict:
     phases = {}
     outs = {}
-    probes = [probe()]
+    traffics = {}
     for traced in (False, True):
         proc, port, out, _setup = _start_gateway(
-            artifact, work / f"gateway-{int(traced)}", traced, procs, probes
+            artifact, work / f"gateway-{int(traced)}", traced, procs
         )
-        traffic = _Traffic(port, requests, connections)
+        traffic = traffics[traced] = _Traffic(port, requests, connections)
         traffic.phase(REFERENCE_RATE, WARMUP_S)
-        phases[traced] = _reference(traffic, 0.5 * seconds, probes,
+        phases[traced] = _reference(traffic, 0.5 * seconds,
                                     SAMPLED_BODIES // 2)
         stop(proc)
         outs[traced] = read_json(out)
-        phases[traced].requests = traffic.cursor
     wrong = sum(_check_bodies(store, targets, phase.bodies)
                 for phase in phases.values())
     trace = outs[True]["trace"]
     phase = phases[True]
+    # Every request the traced gateway served, warm-up included.
+    served = traffics[True].cursor
     handled = fold_of(trace, "routes.handle")
-    k = speed_factor(probes)
 
     def per_call_us(name):
-        return k * median(fold_of(trace, name)["durations_ns"]) / 1e3
+        return median(fold_of(trace, name)["durations_ns"]) / 1e3
 
     return {
         "attempted": sum(p.sent for p in phases.values()),
         "failed": sum(p.failed for p in phases.values()) + wrong,
-        "report": {},
+        "report": _mix(targets, traffics[True]),
         "layers": {
             "routes.handle_us": per_call_us("routes.handle"),
             "mmap_store.lookup_us": per_call_us("mmap_store.lookup"),
             "manager.acquire_us": per_call_us("manager.acquire"),
-            "gateway.requests": phase.requests,
+            "gateway.requests": served,
             "gateway.handle_route_calls": handled["count"],
             "gateway.cache_hit_ratio":
-                (phase.requests - handled["count"]) / phase.requests,
+                (served - handled["count"]) / served,
             "loadgen.late_ms_p99": percentile(phase.lateness, 99) * 1e3,
             "trace.overhead_ratio":
                 median(phase.latencies) / median(phases[False].latencies),
