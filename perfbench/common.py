@@ -53,14 +53,13 @@ def median(values) -> float:
 # ----------------------------------------------------------------------
 # Host speed
 # ----------------------------------------------------------------------
-#: ``fit`` scales its times to a reference host speed. On a shared host
-#: the CPU's speed drifts by tens of percent within a minute (a fixed
-#: workload measured 0.40 s, then 0.56 s, ninety seconds apart), and a
-#: fixed probe, taken in the benchmark's process between fits, tracks
-#: that drift well enough to narrow fit's spread (README: on the other
-#: workloads it did not). A scaled time reads as the wall time on a host
-#: where one probe takes ``PROBE_REFERENCE_S``; the raw time is printed
-#: beside it.
+#: On a shared host the CPU's speed drifts by tens of percent within a
+#: minute: a fixed probe took 6.7 ms in one stretch of seconds and 12 ms
+#: in the next, and a 25,000-record ``kbt fit`` 0.82 s and 1.53 s. Times
+#: that the host's speed sets are therefore scaled, each by probes taken
+#: just before and just after it while the program is idle (README). A
+#: scaled time reads as the wall time on a host where one probe takes
+#: ``PROBE_REFERENCE_S``; raw times are printed beside it.
 PROBE_REFERENCE_S = 0.010
 
 
@@ -85,10 +84,50 @@ def probe(repeats: int = 5) -> float:
     return median(times)
 
 
-def speed_factor(probes) -> float:
-    """Multiplier taking this run's times to the reference host speed,
-    from the median of the probes taken during the run."""
-    return PROBE_REFERENCE_S / median(probes)
+#: A spawn probe's reference time: scaled set-up times read as set-up on
+#: a host where starting a Python process that imports numpy takes 0.2 s.
+SPAWN_REFERENCE_S = 0.2
+
+
+def spawn_probe() -> float:
+    """Wall time of starting a Python process that imports numpy, json
+    and zlib and exits. Set-up is mostly such work (process start,
+    imports, page faults), which a shared host slows differently from
+    the in-process ``probe``."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import json, zlib, numpy"],
+                   check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def scale_between(times, marks, reference: float) -> list[float]:
+    """Each of ``times`` scaled to the host speed at which a calibration
+    measurement reads ``reference``: time ``i`` is multiplied by
+    ``reference`` over the mean of ``marks[i]`` and ``marks[i + 1]``,
+    the calibration measurements taken just before and just after it.
+
+    Pairing each time with its neighbours cancels drift slower than one
+    operation; one factor per run (the median of all marks) left most of
+    it in place."""
+    if len(marks) != len(times) + 1:
+        raise ValueError(
+            f"{len(times)} times need {len(times) + 1} marks, "
+            f"got {len(marks)}"
+        )
+    return [
+        value * reference / ((marks[i] + marks[i + 1]) / 2)
+        for i, value in enumerate(times)
+    ]
+
+
+def scale_by_probes(times, probes) -> list[float]:
+    """``scale_between`` with host-speed probes as the marks."""
+    return scale_between(times, probes, PROBE_REFERENCE_S)
+
+
+def scale_by_spawns(times, spawns) -> list[float]:
+    """``scale_between`` with spawn probes as the marks."""
+    return scale_between(times, spawns, SPAWN_REFERENCE_S)
 
 
 def samples_beyond(count: int, q: float) -> int:
@@ -163,12 +202,12 @@ def free_port() -> int:
 # Child processes
 # ----------------------------------------------------------------------
 def launch(args: list[str], out: Path, trace: bool, layers: str,
-           stdout=subprocess.DEVNULL) -> subprocess.Popen:
+           stdout=subprocess.DEVNULL, stdin=None) -> subprocess.Popen:
     """Start ``launch.py`` (the program behind an optional tracer)."""
     command = [sys.executable, str(LAUNCHER), "--out", str(out),
                "--layers", layers if trace else "none", "--", *args]
     return subprocess.Popen(
-        command, env=child_env(), cwd=str(ROOT), stdout=stdout,
+        command, env=child_env(), cwd=str(ROOT), stdin=stdin, stdout=stdout,
         stderr=subprocess.PIPE, text=True,
     )
 

@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from common import SRC, WORK
+from common import SRC, WORK, BenchError
 
 CACHE = WORK / "cache"
 
@@ -43,9 +43,12 @@ RECORDS = 25_000
 CORPORA = 3
 
 
-def sub_seeds(seed: int) -> list[int]:
-    """The generator seeds of ``seed``'s corpora (distinct across seeds)."""
-    return [seed * 16 + index for index in range(CORPORA)]
+def sub_seeds(seed: int, count: int = CORPORA) -> list[int]:
+    """The generator seeds of ``seed``'s first ``count`` corpora (at most
+    16, distinct across seeds)."""
+    if not 0 < count <= 16:
+        raise ValueError(f"a seed has 16 corpora, not {count}")
+    return [seed * 16 + index for index in range(count)]
 
 
 def _program():
@@ -72,15 +75,20 @@ def corpus(seed: int, records: int) -> Path:
     from repro.datasets.kv import KVConfig, iter_kv_record_chunks
     from repro.io.jsonl import record_to_dict
 
-    config = KVConfig(num_websites=max(100, records // 40), seed=seed,
-                      **KV_SHAPE)
-    lines: list[str] = []
-    for chunk in iter_kv_record_chunks(config):
-        lines.extend(json.dumps(record_to_dict(r)) for r in chunk)
+    # A draw of small websites can fall short of the record count; such a
+    # seed draws again with twice and then four times the websites.
+    for websites in (records // 40, records // 20, records // 10):
+        config = KVConfig(num_websites=max(100, websites), seed=seed,
+                          **KV_SHAPE)
+        lines: list[str] = []
+        for chunk in iter_kv_record_chunks(config):
+            lines.extend(json.dumps(record_to_dict(r)) for r in chunk)
+            if len(lines) >= records:
+                break
         if len(lines) >= records:
             break
-    if len(lines) < records:
-        raise RuntimeError(
+    else:
+        raise BenchError(
             f"seed {seed}: the KV generator gave only {len(lines)} of "
             f"{records} records"
         )

@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import os
-import resource
 import sys
 import time
 
@@ -87,6 +86,20 @@ LAYERS = {
 }
 
 
+def peak_rss_kb() -> int:
+    """This process's peak resident set (``VmHWM``).
+
+    Not ``getrusage``'s ``ru_maxrss``: Linux carries the spawning
+    process's peak over into it at ``exec``, so a child of a benchmark
+    process that had grown to 85 MB read 85 MB whatever it used itself.
+    """
+    with open("/proc/self/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
 def result_digest(result) -> str:
     """sha256 over every fitted number (``repr`` round-trips floats)."""
     digest = hashlib.sha256()
@@ -101,7 +114,9 @@ def run_em(argv: list[str], tracer, specs) -> dict:
     """Sharded EM on prebuilt matrices, repeated for ``--seconds``.
 
     One matrix is built per ``--corpus`` (the set-up the benchmark
-    reports) and fits cycle through them. With a tracer, fits alternate
+    reports) and fits cycle through them. With ``--pause`` the program
+    waits, idle, before the builds and between fits, while the parent
+    probes the host's speed. With a tracer, fits alternate
     traced and untraced so one run gives both the per-layer split and the
     tracing overhead.
     """
@@ -111,7 +126,17 @@ def run_em(argv: list[str], tracer, specs) -> dict:
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--min-fits", type=int, default=3)
+    parser.add_argument("--pause", action="store_true",
+                        help="before the builds, before the first fit and "
+                        "after every fit, print 'idle' and wait for a line "
+                        "on stdin (the parent probes the host meanwhile)")
     args = parser.parse_args(argv)
+
+    def pause() -> None:
+        if args.pause:
+            print("idle", flush=True)
+            if not sys.stdin.readline():
+                raise SystemExit("launch.py em: stdin closed during a pause")
 
     from dataclasses import replace
 
@@ -122,6 +147,7 @@ def run_em(argv: list[str], tracer, specs) -> dict:
 
     builds = []
     matrices = []
+    pause()
     for path in args.corpus:
         start = time.perf_counter()
         matrices.append(ObservationMatrix.from_records(read_records(path)))
@@ -140,8 +166,12 @@ def run_em(argv: list[str], tracer, specs) -> dict:
         config=config, backend="processes", num_shards=args.shards
     )
     fits = []
+    pause()
     deadline = time.perf_counter() + args.seconds
-    while len(fits) < args.min_fits or time.perf_counter() < deadline:
+    # Whole rounds: every matrix is fitted equally often.
+    per_round = len(matrices) * (1 + (tracer is not None))
+    while (len(fits) < args.min_fits or len(fits) % per_round
+           or time.perf_counter() < deadline):
         traced = tracer is not None and len(fits) % 2 == 1
         index = (len(fits) // (1 + (tracer is not None))) % len(matrices)
         observations = matrices[index]
@@ -160,6 +190,7 @@ def run_em(argv: list[str], tracer, specs) -> dict:
         fits.append({"wall_s": wall, "traced": traced, "corpus": index,
                      "digest": result_digest(fitted.result),
                      "rounds": len(fitted.result.history)})
+        pause()
     return {"builds_s": builds, "fits": fits}
 
 
@@ -196,7 +227,7 @@ def main() -> int:
     else:
         report.update(run_em(args.args, tracer, specs))
         code = 0
-    report["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    report["peak_rss_kb"] = peak_rss_kb()
     if tracer is not None:
         tracer.uninstall()
         report["trace"] = tracer.dump()

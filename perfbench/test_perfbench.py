@@ -14,11 +14,12 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from common import median, percentile, samples_beyond, supported
+from common import median, percentile, samples_beyond, \
+    scale_between, supported
 from loadgen import get_request, run_phase
 from tracer import CALL, Tracer, self_times, unaccounted_ns
-from wl_serve import ROUTE_KEYS, ROUTE_MIX, ZIPF_EXPONENT, _targets, \
-    lru_hits
+from wl_serve import ROUTE_KEYS, ROUTE_MIX, ZIPF_EXPONENT, \
+    _holds_key_space, _targets, lru_hits
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +52,24 @@ def test_percentile_needs_ten_samples_beyond_it():
     assert supported(1000, 99)
     assert not supported(999, 99)
     assert supported(20, 50) and not supported(19, 50)
+
+
+# ----------------------------------------------------------------------
+# Host-speed scaling
+# ----------------------------------------------------------------------
+def test_each_time_is_scaled_by_the_marks_around_it():
+    # The host slows down 2x between the first and the second operation:
+    # each time over the mean of its neighbouring marks reads the same.
+    times = [1.0, 1.5, 2.0]
+    marks = [1.0, 1.0, 2.0, 2.0]
+    assert scale_between(times, marks, 1.0) == [1.0, 1.0, 1.0]
+    # The reference sets the unit: a mark of 2 at reference 4 doubles.
+    assert scale_between([3.0], [2.0, 2.0], 4.0) == [6.0]
+
+
+def test_scaling_needs_one_mark_more_than_times():
+    with pytest.raises(ValueError):
+        scale_between([1.0, 2.0], [1.0, 1.0], 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +233,12 @@ class _Store:
 
     def websites(self):
         return iter(self.sites)
+
+
+def test_key_space_needs_64_sites_and_256_pages():
+    assert _holds_key_space(_Store(sites=64, pages_per_site=4))
+    assert not _holds_key_space(_Store(sites=57, pages_per_site=6))
+    assert not _holds_key_space(_Store(sites=130, pages_per_site=1))
 
 
 def test_serve_mix_is_fixed_for_every_seed():

@@ -6,9 +6,10 @@ run."""
 from __future__ import annotations
 
 import json
+import subprocess
 
 from common import ROOT, BenchError, BusyCpus, finish, fresh_dir, launch, \
-    median, read_json, tail
+    median, probe, read_json, scale_by_probes, tail
 from inputs import CACHE, RECORDS, corpus, sub_seeds
 from launch import result_digest
 from tracer import by_name, self_times
@@ -97,8 +98,21 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
     with BusyCpus():
         proc = launch(["em", *corpora, "--iterations", str(ITERATIONS),
                        "--shards", str(SHARDS), "--seconds", str(seconds),
-                       "--min-fits", str(len(data) * (1 + trace))],
-                      out, trace, "em")
+                       "--min-fits", str(len(data) * (1 + trace)),
+                       "--pause"],
+                      out, trace, "em", stdout=subprocess.PIPE,
+                      stdin=subprocess.PIPE)
+        # The driver pauses before its builds and between fits: probe the
+        # host's speed there, while no program process works.
+        probes = []
+        try:
+            for line in proc.stdout:
+                if line.strip() == "idle":
+                    probes.append(probe())
+                    proc.stdin.write("go\n")
+                    proc.stdin.flush()
+        except BrokenPipeError:
+            pass
         finish(proc, timeout=170)
     report = read_json(out)
     fits = report["fits"]
@@ -106,34 +120,44 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
                  if fit["digest"] != expected[fit["corpus"]])
     if any(fit["rounds"] != ITERATIONS for fit in fits):
         raise BenchError("sharded EM did not run the fixed iteration count")
-    plain = [fit["wall_s"] for fit in fits if not fit["traced"]]
-    builds = report["builds_s"]
+    if len(probes) != len(fits) + 2:
+        raise BenchError(f"{len(probes)} pauses for {len(fits)} fits")
+    # Builds run between the first two probes, fit i between probes
+    # i + 1 and i + 2.
+    raw_builds = report["builds_s"]
+    k = scale_by_probes([1.0], probes[:2])[0]
+    builds = [k * build for build in raw_builds]
+    walls = scale_by_probes([fit["wall_s"] for fit in fits], probes[1:])
+    plain = [wall for wall, fit in zip(walls, fits) if not fit["traced"]]
+    raw = [fit["wall_s"] for fit in fits if not fit["traced"]]
     result = {
         "attempted": len(fits),
         "failed": failed,
         "e2e": {
             "setup_s": median(builds),
             "latency_ms": median(plain) * 1e3,
-            "peak_rss_mb": report["maxrss_kb"] / 1024,
+            "peak_rss_mb": report["peak_rss_kb"] / 1024,
         },
         "report": {
             "em.wall_s": (median(plain), "s", len(plain)),
             **tail("em.wall_s", plain, "s"),
+            "em.wall_s_raw": (median(raw), "s", len(raw)),
             "em.record_iterations_per_s": (
                 RECORDS * ITERATIONS / median(plain), "1/s", len(plain)),
             "em.build_s": (median(builds), "s", len(builds)),
+            "em.build_s_raw": (median(raw_builds), "s", len(raw_builds)),
             "em.iterations": (ITERATIONS, "count", 1),
             "em.records": (RECORDS, "count", 1),
+            "host.probe_ms": (median(probes) * 1e3, "ms", len(probes)),
         },
     }
     if trace:
-        traced = [fit for fit in fits if fit["traced"]]
         layers = [_layers(t) for t in _split_traces(report["trace"])]
         result["layers"] = {
             name: median([layer[name] for layer in layers])
             for name in layers[0]
         }
         result["layers"]["trace.overhead_ratio"] = median(
-            [fit["wall_s"] for fit in traced]
+            [wall for wall, fit in zip(walls, fits) if fit["traced"]]
         ) / median(plain)
     return result

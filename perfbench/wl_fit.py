@@ -9,13 +9,15 @@ import json
 import time
 
 from common import ROOT, SRC, BenchError, finish, fresh_dir, launch, median, \
-    probe, read_json, speed_factor, tail
+    probe, read_json, scale_by_probes, scale_by_spawns, spawn_probe, tail
 from inputs import CACHE, RECORDS, corpus, sub_seeds
 from tracer import by_name, fold_of, self_times
 
-#: Fits per run at least (a traced run alternates, so it makes twice as
-#: many); more are made while the next one still fits in the seconds.
-MIN_FITS = 4
+#: Rounds per run at least; a round fits every corpus once (a traced
+#: round twice, alternating traced and untraced). More rounds are made
+#: while the next one still fits in the seconds, so every corpus is fitted
+#: equally often and one corpus's size cannot tilt the median.
+MIN_ROUNDS = 2
 
 
 def _reference_scores(path, seed: int) -> dict:
@@ -93,9 +95,14 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
     fits = []
     digests = [set() for _ in data]
     started = time.monotonic()
-    probes = [probe()]
-    while len(fits) < MIN_FITS * (1 + trace) or (
-        time.monotonic() - started + fits[-1]["wall_s"] <= seconds
+    # Probes before the first fit and after every fit: each fit is scaled
+    # by the two around it, and its set-up (process start and imports) by
+    # the spawn probes around it.
+    probes, spawns = [probe()], [spawn_probe()]
+    per_round = len(data) * (1 + trace)
+    while len(fits) % per_round or len(fits) < MIN_ROUNDS * per_round or (
+        time.monotonic() - started
+        + per_round * fits[-1]["cycle_s"] <= seconds
     ):
         traced = trace and len(fits) % 2 == 1
         # Traced runs alternate traced and untraced fits of one corpus.
@@ -106,10 +113,12 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
                        str(artifacts[index])], out, traced, "fit")
         finish(proc, timeout=170)
         probes.append(probe())
+        spawns.append(spawn_probe())
         report = read_json(out)
         if report["exit"] != 0:
             raise BenchError(f"kbt fit exited {report['exit']}")
         report["setup_s"] = report["ready"] - spawned
+        report["cycle_s"] = time.monotonic() - spawned
         report["traced"] = traced
         report["corpus"] = index
         fits.append(report)
@@ -128,16 +137,18 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
                 != _reference_scores(path, seeds[index])):
             failed += sum(1 for f in fits if f["corpus"] == index)
 
-    k = speed_factor(probes)
+    factors = scale_by_probes([1.0] * len(fits), probes)
     plain = [f for f in fits if not f["traced"]]
     raw = [f["wall_s"] for f in plain]
-    walls = [k * wall for wall in raw]
-    rss = median([f["maxrss_kb"] for f in plain]) / 1024
+    walls = [k * f["wall_s"]
+             for k, f in zip(factors, fits) if not f["traced"]]
+    setups = scale_by_spawns([f["setup_s"] for f in fits], spawns)
+    rss = median([f["peak_rss_kb"] for f in plain]) / 1024
     result = {
         "attempted": len(fits),
         "failed": failed,
         "e2e": {
-            "setup_s": k * median([f["setup_s"] for f in fits]),
+            "setup_s": median(setups),
             "latency_ms": median(walls) * 1e3,
             "peak_rss_mb": rss,
         },
@@ -145,15 +156,18 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
             "fit.wall_s": (median(walls), "s", len(walls)),
             **tail("fit.wall_s", walls, "s"),
             "fit.wall_s_raw": (median(raw), "s", len(raw)),
+            "fit.setup_s_raw": (median([f["setup_s"] for f in fits]), "s",
+                                len(fits)),
             "fit.records_per_s": (RECORDS / median(walls), "1/s", len(walls)),
             "fit.peak_rss_mb": (rss, "MB", len(plain)),
             "fit.records": (RECORDS, "count", 1),
             "host.probe_ms": (median(probes) * 1e3, "ms", len(probes)),
+            "host.spawn_ms": (median(spawns) * 1e3, "ms", len(spawns)),
         },
     }
     if trace:
-        traced = [f for f in fits if f["traced"]]
-        layers = [_layers(f, k) for f in traced]
+        layers = [_layers(f, k)
+                  for k, f in zip(factors, fits) if f["traced"]]
         result["layers"] = {
             name: median([layer[name] for layer in layers])
             for name in layers[0]
@@ -161,7 +175,7 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
         result["layers"]["artifact.bytes"] = median(
             [path.stat().st_size for path in artifacts if path.exists()]
         )
-        result["layers"]["trace.overhead_ratio"] = (
-            median([f["wall_s"] for f in traced]) / median(raw)
-        )
+        result["layers"]["trace.overhead_ratio"] = median(
+            [k * f["wall_s"] for k, f in zip(factors, fits) if f["traced"]]
+        ) / median(walls)
     return result

@@ -17,7 +17,8 @@ import subprocess
 import time
 
 from common import ROOT, BenchError, free_port, fresh_dir, get_json, \
-    kill_all, launch, median, read_json, stop, tail, wait_ready
+    kill_all, launch, median, probe, read_json, scale_by_probes, \
+    scale_by_spawns, spawn_probe, stop, tail, wait_ready
 from inputs import CACHE, RECORDS, corpus, split_by_site, sub_seeds, \
     write_lines
 from tracer import by_name, fold_of
@@ -56,7 +57,8 @@ def _inputs(seed: int):
 
 class _Pair:
     """One gateway + one ``kbt ingest`` over a fresh copy of the cold
-    artifact; ``setup_s`` runs from spawning both until both are ready."""
+    artifact; ``setup_s`` runs from spawning both until both are ready,
+    with a spawn probe just before and just after."""
 
     def __init__(self, cold, directory, traced: bool, procs: list) -> None:
         fresh_dir(directory)
@@ -67,6 +69,7 @@ class _Pair:
         self.spool.mkdir()
         self.generations = directory / "generations"
         self.port = free_port()
+        self.setup_probes = [spawn_probe()]
         spawned = time.monotonic()
         self.gateway = launch(
             ["cli", "serve", str(artifact), "--gateway", "--port",
@@ -87,6 +90,7 @@ class _Pair:
         self.ready = wait_ready(self.port, self.gateway)
         self._wait_ingest_ready()
         self.setup_s = time.monotonic() - spawned
+        self.setup_probes.append(spawn_probe())
 
     def _wait_ingest_ready(self, timeout: float = 60.0) -> None:
         deadline = time.monotonic() + timeout
@@ -102,10 +106,12 @@ class _Pair:
 
     def feed(self, batches):
         """Closed loop: append a batch, wait until it is served. Returns
-        the served times and every served etag."""
+        the served times, every served etag, and the host-speed probes
+        taken before the first batch and after each one is served, while
+        both programs wait for the next."""
         conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=10)
         spool_file = self.spool / "stream.jsonl"
-        served, etags = [], [self.ready["etag"]]
+        served, etags, probes = [], [self.ready["etag"]], [probe()]
         try:
             for number, batch in enumerate(batches, 1):
                 with open(spool_file, "a", encoding="utf-8") as handle:
@@ -120,9 +126,10 @@ class _Pair:
                     time.sleep(0.002)
                 served.append(time.monotonic() - appended)
                 etags.append(ready["etag"])
+                probes.append(probe())
         finally:
             conn.close()
-        return served, etags
+        return served, etags, probes
 
     def close(self) -> tuple[dict, dict]:
         stop(self.ingest)
@@ -171,11 +178,14 @@ def _phase(cold, stream, directory, traced, seconds, procs):
     if len(batches[-1]) < BATCH:
         raise BenchError(f"{len(stream)} held-out records are too few for "
                          f"{count} batches")
-    served, etags = pair.feed(batches)
+    served, etags, probes = pair.feed(batches)
     ingest, gateway = pair.close()
     failed = _check(pair, cold, batches, etags)
-    return {"served": served, "failed": failed, "ingest": ingest,
-            "gateway": gateway, "setup_s": pair.setup_s}
+    return {"raw": served, "served": scale_by_probes(served, probes),
+            "probes": probes, "failed": failed, "ingest": ingest,
+            "gateway": gateway, "raw_setup_s": pair.setup_s,
+            "setup_s": scale_by_spawns([pair.setup_s],
+                                       pair.setup_probes)[0]}
 
 
 def run(seed: int, seconds: float, trace: bool) -> dict:
@@ -195,8 +205,10 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
     finally:
         kill_all(procs)
     served = [value for phase in phases for value in phase["served"]]
+    raw = [value for phase in phases for value in phase["raw"]]
+    probes = [value for phase in phases for value in phase["probes"]]
     p50 = median(served) * 1e3
-    rss = median([phase["ingest"]["maxrss_kb"] for phase in phases]) / 1024
+    rss = median([phase["ingest"]["peak_rss_kb"] for phase in phases]) / 1024
     return {
         "attempted": len(served),
         "failed": sum(phase["failed"] for phase in phases),
@@ -207,6 +219,11 @@ def run(seed: int, seconds: float, trace: bool) -> dict:
         },
         "report": {
             "ingest.served_ms_p50": (p50, "ms", len(served)),
+            "ingest.served_ms_p50_raw": (median(raw) * 1e3, "ms", len(raw)),
+            "ingest.setup_s_raw": (
+                median([phase["raw_setup_s"] for phase in phases]), "s",
+                len(phases)),
+            "host.probe_ms": (median(probes) * 1e3, "ms", len(probes)),
             **tail("ingest.served_ms", [v * 1e3 for v in served], "ms"),
             "ingest.records_per_s": (BATCH / median(served), "1/s",
                                      len(served)),

@@ -12,16 +12,21 @@ which sites, pages and triples the keys are and which rank each gets.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
+import select
 import shutil
+import subprocess
+import sys
 import time
 from collections import Counter, OrderedDict
 from urllib.parse import parse_qs, quote, urlsplit
 
-from common import ROOT, BenchError, BusyCpus, free_port, fresh_dir, \
-    kill_all, launch, median, peak_rss_mb, percentile, read_json, stop, \
-    tail, wait_ready
+from common import BENCH, ROOT, BenchError, BusyCpus, free_port, \
+    fresh_dir, kill_all, launch, median, peak_rss_mb, percentile, \
+    read_json, scale_between, scale_by_spawns, spawn_probe, stop, tail, \
+    wait_ready
 from inputs import CACHE, RECORDS, corpus, sub_seeds
 from loadgen import get_request, run_phase
 from tracer import fold_of
@@ -37,8 +42,15 @@ STEP_S = 0.3
 #: p99 limit (due-time latency) a ladder rate must meet.
 LIMIT_S = 0.050
 WARMUP_S = 1.5
-#: Share of the run's seconds spent at the reference rate, in three slices.
+#: Share of the run's seconds spent at the reference rate: gateway slices
+#: of ``SLICE_S``, each between two slices of ``ECHO_SLICE_S`` against
+#: the calibration server (``echo.py``).
 REFERENCE_SHARE = 0.8
+SLICE_S = 1.0
+ECHO_SLICE_S = 0.4
+#: Echo-server p50 that scaled latencies refer to: a scaled latency reads
+#: as the gateway's p50 on a host where the echo server's p50 is 0.1 ms.
+ECHO_REFERENCE_S = 0.0001
 #: Requests per route in every block of eight. This is the cycle of
 #: ``benchmarks/bench_serving_v2.py`` (three /score, one each of /batch,
 #: /top, /breakdown, /percentile and /healthz) with its two slots outside
@@ -86,14 +98,35 @@ def fresh_copy(artifact, directory):
     return target
 
 
+def _holds_key_space(store) -> bool:
+    """Whether the store scores enough sites and pages for the keys."""
+    sites = sum(1 for _site in store.websites())
+    return (sites >= max(ROUTE_KEYS["/score"], ROUTE_KEYS["/breakdown"])
+            and len(store._page_index) >= ROUTE_KEYS["/page"])
+
+
+def _served(seed: int, directory):
+    """(artifact, in-process store over a copy) of the first of the seed's
+    corpora whose fit scores enough sites and pages for the key space. A
+    KV draw of a few large websites can score as few as 57 sites."""
+    from repro.serving.mmap_store import MmapTrustStore
+
+    for generator_seed in sub_seeds(seed, 16):
+        artifact = fitted_artifact(generator_seed, RECORDS)
+        store = MmapTrustStore.open(fresh_copy(artifact, directory))
+        if _holds_key_space(store):
+            return artifact, store
+        store.close()
+    raise BenchError(f"no corpus of seed {seed} scores enough sites and "
+                     "pages for the serve key space")
+
+
 def _route_keys(store, rng: random.Random) -> dict[str, list[str]]:
     """Each route's keys, in Zipf rank order (most requested first)."""
+    if not _holds_key_space(store):
+        raise BenchError("too few sites and pages for the serve key space")
     sites = sorted(store.websites())
     pages = sorted(store._page_index)
-    if (len(sites) < max(ROUTE_KEYS["/score"], ROUTE_KEYS["/breakdown"])
-            or len(pages) < ROUTE_KEYS["/page"]):
-        raise BenchError(f"{len(sites)} sites and {len(pages)} pages are "
-                         "too few for the serve key space")
     top = [f"/top?k={k}" for k in range(1, ROUTE_KEYS["/top"] + 1)]
     rng.shuffle(top)
     batch: set[str] = set()
@@ -193,11 +226,8 @@ def _check_bodies(store, targets, bodies) -> int:
 
 
 def run(seed: int, seconds: float, trace: bool) -> dict:
-    from repro.serving.mmap_store import MmapTrustStore
-
-    artifact = fitted_artifact(sub_seeds(seed)[0], RECORDS)
     work = fresh_dir(ROOT / ".perfbench" / "run-serve")
-    store = MmapTrustStore.open(fresh_copy(artifact, work / "check"))
+    artifact, store = _served(seed, work / "check")
     targets = _targets(store, seed)
     requests = [get_request(t) for t in targets]
     connections = os.cpu_count() or 1
@@ -291,51 +321,85 @@ def _mix(targets: list[str], traffic: _Traffic) -> dict:
     }
 
 
+def _start_echo(procs: list) -> int:
+    """Start the calibration server (``echo.py``); returns its port."""
+    port = free_port()
+    proc = subprocess.Popen(
+        [sys.executable, str(BENCH / "echo.py"), str(port)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    procs.append(proc)
+    readable, _, _ = select.select([proc.stdout], [], [], 30.0)
+    if not readable or proc.stdout.readline().strip() != "ready":
+        raise BenchError("the echo server did not start")
+    return port
+
+
+def _echo_p50(traffic: _Traffic) -> float:
+    phase = traffic.phase(REFERENCE_RATE, ECHO_SLICE_S)
+    if phase.failed or not phase.latencies:
+        raise BenchError("the echo server failed a request")
+    return median(phase.latencies)
+
+
 def _run_plain(artifact, work, store, targets, requests, connections,
                seconds, procs) -> dict:
-    setups = []
+    echo = _Traffic(_start_echo(procs), requests, connections)
+    setups, spawns = [], [spawn_probe()]
     for index in range(SETUPS):
         proc, port, _out, setup = _start_gateway(
             artifact, work / f"gateway-{index}", False, procs
         )
         setups.append(setup)
+        spawns.append(spawn_probe())
         if index < SETUPS - 1:
             stop(proc)
     traffic = _Traffic(port, requests, connections)
     traffic.phase(REFERENCE_RATE, WARMUP_S)
-    # The reference rate is measured in three slices spread over the run,
-    # so one stretch of host noise does not set the whole run's figure.
-    slice_s = REFERENCE_SHARE * seconds / 3
-    slices = [_reference(traffic, slice_s, SAMPLED_BODIES // 3)]
+    # The reference rate is measured in short slices, each scaled by the
+    # echo server's p50 just before and just after it, so the host's
+    # drift over the run cancels (README, "Host speed").
+    count = max(3, round(REFERENCE_SHARE * seconds
+                         / (SLICE_S + ECHO_SLICE_S)))
+    marks = [_echo_p50(echo)]
+    slices = []
+    for _ in range(count):
+        slices.append(_reference(traffic, SLICE_S,
+                                 math.ceil(SAMPLED_BODIES / count)))
+        marks.append(_echo_p50(echo))
     # Peak memory at the reference load, read before the ladder overloads
     # the gateway and makes its queues grow.
     rss = peak_rss_mb(proc.pid)
-    slices.append(_reference(traffic, slice_s, SAMPLED_BODIES // 3))
     max_rps, tries = _climb(traffic)
-    slices.append(_reference(traffic, slice_s, SAMPLED_BODIES // 3))
     stop(proc)
 
     latencies = [lat for phase in slices for lat in phase.latencies]
     lateness = [late for phase in slices for late in phase.lateness]
     bodies = {i: b for phase in slices for i, b in phase.bodies.items()}
-    if not latencies:
-        raise BenchError("no request at the reference rate succeeded")
+    if any(not phase.latencies for phase in slices):
+        raise BenchError("no request of a reference slice succeeded")
     # The ladder pushes the gateway past its limit on purpose: failures
     # there set max_rps and are not incorrect outputs.
     attempted = sum(phase.sent for phase in slices)
     failed = (sum(phase.failed for phase in slices)
               + _check_bodies(store, targets, bodies))
-    p50 = median(latencies) * 1e3
+    p50 = median(scale_between(
+        [median(phase.latencies) for phase in slices], marks,
+        ECHO_REFERENCE_S,
+    )) * 1e3
     return {
         "attempted": attempted,
         "failed": failed,
         "e2e": {
-            "setup_s": median(setups),
+            "setup_s": median(scale_by_spawns(setups, spawns)),
             "latency_ms": p50,
             "peak_rss_mb": rss,
         },
         "report": {
-            "serve.p50_ms": (p50, "ms", len(latencies)),
+            "serve.p50_ms": (p50, "ms", len(slices)),
+            "serve.p50_ms_raw": (median(latencies) * 1e3, "ms",
+                                 len(latencies)),
+            "serve.echo_p50_ms": (median(marks) * 1e3, "ms", len(marks)),
             **tail("serve.latency_ms", [v * 1e3 for v in latencies], "ms"),
             "serve.max_rps": (max_rps, "1/s", tries),
             "serve.reference_rps": (REFERENCE_RATE, "1/s", 1),
@@ -345,6 +409,8 @@ def _run_plain(artifact, work, store, targets, requests, connections,
             **_mix(targets, traffic),
             "serve.bodies_checked": (len(bodies), "count", 1),
             "serve.peak_rss_mb": (rss, "MB", 1),
+            "serve.setup_s_raw": (median(setups), "s", len(setups)),
+            "host.spawn_ms": (median(spawns) * 1e3, "ms", len(spawns)),
         },
     }
 
