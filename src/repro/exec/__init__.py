@@ -21,11 +21,12 @@ API instead of a simulation:
   memory by one packet plus the parameter vectors — the single-machine
   analogue of the paper's "no worker holds the corpus" MapReduce
   property;
-* the subsystem is **fault tolerant**: the ``processes`` backend
-  supervises its workers (crash detection, retry with backoff,
-  replacement spawning, straggler speculation — terminal failures raise
-  :class:`~repro.exec.backends.ExecError`), ``checkpoint_dir`` persists
-  the EM state atomically every ``checkpoint_every`` iterations
+* the subsystem is **fault tolerant**: the ``processes`` and ``remote``
+  backends share one supervised scheduler (:mod:`repro.exec.scheduler`:
+  retry with backoff, worker replacement, straggler speculation —
+  terminal failures raise :class:`~repro.exec.scheduler.ExecError`),
+  ``checkpoint_dir`` persists the EM state atomically every
+  ``checkpoint_every`` iterations
   (:mod:`repro.exec.checkpoint`) so a killed fit resumes with
   ``resume=True`` to bit-identical results, and
   :class:`~repro.exec.faults.FaultPlan` injects deterministic failures

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the execution layer.
 
-The fault-tolerance machinery of the ``processes`` backend (worker
-supervision, retry/backoff, straggler speculation — see
-:mod:`repro.exec.backends`) is only trustworthy if its failure paths can
+The fault-tolerance machinery of the supervised backends (retry/backoff,
+worker replacement, straggler speculation — see
+:mod:`repro.exec.scheduler`) is only trustworthy if its failure paths can
 be exercised *reproducibly*. A :class:`FaultPlan` makes failures part of
 the test input: every fault is keyed by coordinates the scheduler
 assigns deterministically — the worker index, the dispatch round (a
@@ -30,7 +30,7 @@ Fault kinds:
   :class:`~repro.exec.spill.SpillError`, emulating a corrupt spill
   packet read; attempt numbers past ``attempts`` succeed, so a retry
   budget larger than ``attempts`` recovers and a smaller one surfaces a
-  terminal :class:`~repro.exec.backends.ExecError`.
+  terminal :class:`~repro.exec.scheduler.ExecError`.
 * ``hang_worker`` — ``[worker, ...]``: the worker ignores the shutdown
   message and sleeps instead, exercising the session teardown
   escalation ladder (join -> terminate -> kill).

@@ -1,56 +1,30 @@
 """Distributed execution over TCP: coordinator + remote shard workers.
 
-The ``remote`` backend is the multi-host sibling of the supervised
-``processes`` backend (:mod:`repro.exec.backends`), shaped like the
-paper's production deployment (Table 7): a MapReduce-style master — the
-**coordinator**, living inside the driver process — dispatches the
-per-round C/V map steps to **workers** that registered over TCP, and
-runs the reduce itself over globally re-assembled arrays. Workers are
-started out-of-band (``kbt worker --connect HOST:PORT``, any mix of
-local and remote machines) and connect *to* the coordinator, so only
-the coordinator needs a reachable address.
+The ``remote`` backend is the multi-host transport of the supervised
+scheduler (:mod:`repro.exec.scheduler`), shaped like the paper's
+production deployment (Table 7): the **coordinator**, living inside the
+driver process, dispatches the per-round C/V map steps to **workers**
+that registered over TCP, and runs the reduce itself over globally
+re-assembled arrays. Workers are started out-of-band (``kbt worker
+--connect HOST:PORT``, any mix of local and remote machines) and connect
+*to* the coordinator, so only the coordinator needs a reachable address.
 
 Wire format: :mod:`repro.exec.protocol` — length-prefixed frames whose
-arrays travel as raw ``.npy`` byte strings (the PR 5 spill idiom as a
-wire payload) under a JSON manifest with a SHA-256 blob digest. Shard
-packets ship to a worker at most once per connection and are cached
-there; per-iteration parameter vectors ship every round.
+arrays travel as raw ``.npy`` byte strings under a JSON manifest with a
+SHA-256 blob digest. Shard packets ship to a worker at most once per
+connection and are cached there; per-iteration parameter vectors ship
+every round. The coordinator scatters each winning result into its
+outputs in engine array order, so a remote fit is **bit-identical** to
+the serial backend for any worker count, placement and recovery history.
 
-Determinism: the coordinator scatters each winning result into the
-global output arrays in engine array order and the reduce never leaves
-the driver, so a remote fit is **bit-identical** to the serial backend
-for any worker count, any placement, and any recovery history — the
-same ladder entry every other backend satisfies.
-
-Fault tolerance reuses the PR 6 supervision machinery
-(:class:`~repro.exec.backends._Supervision`,
-:class:`~repro.exec.backends._ShardTask`, the same environment knobs):
-
-* A dead connection fails that worker's in-flight attempts; its shards
-  re-home to a surviving worker, whose next dispatch ships a restore
-  snapshot slice (:func:`~repro.exec.worker.rebuild_state` makes the
-  rebuilt state bit-identical). Failures retry with capped exponential
-  backoff under the per-shard attempt budget; exhaustion raises
-  :class:`~repro.exec.backends.ExecError` naming the worker address.
-* A frame whose blob digest mismatches
-  (:class:`~repro.exec.protocol.ProtocolError`) condemns the whole
-  connection — after one torn frame the stream offsets are
-  untrustworthy — and recovers exactly like a death.
-* Stragglers are speculatively re-dispatched (median-derived deadline,
-  first result wins). Stale results need no fence kill here: the
-  coordinator owns the output arrays and simply discards acks from
-  superseded rounds/attempts, so a slow loser can never write.
-* Workers that lose their connection re-enter a reconnect loop (fresh
-  index on re-registration), which is also what lets a *coordinator*
-  restart with ``resume=True`` pick up its worker fleet again: the fit
-  resumes from the checkpoint, the workers rejoin, and every shard
-  state is rebuilt from the restored snapshot.
-
-Deterministic fault injection (:mod:`repro.exec.faults`) extends to the
-connection level: ``drop_connection`` makes a worker abruptly close its
-socket on a given round's task, ``corrupt_frame`` makes it flip result
-bytes after digesting — both keyed to worker indices, which the
-coordinator assigns monotonically and never reuses.
+A lost connection — or a frame whose digest mismatches
+(:class:`~repro.exec.protocol.ProtocolError`), after which the stream
+offsets are untrustworthy — moves the worker's shards to the
+least-loaded survivor. Workers that lose their connection reconnect and
+register under a fresh index, which is also what lets a restarted
+coordinator (``resume=True``) pick its fleet up again. The
+``drop_connection`` and ``corrupt_frame`` faults of
+:mod:`repro.exec.faults` exercise both paths.
 """
 
 from __future__ import annotations
@@ -58,24 +32,13 @@ from __future__ import annotations
 import os
 import queue
 import socket
-import statistics
 import threading
 import time
 
 import numpy as np
 
-from repro.core.config import (
-    AbsenceScope,
-    MultiLayerConfig,
-    parse_remote_endpoint,
-)
-from repro.exec.backends import (
-    ExecError,
-    ShardSource,
-    _POLL_S,
-    _ShardTask,
-    _Supervision,
-)
+from repro.core.config import MultiLayerConfig, parse_remote_endpoint
+from repro.exec.backends import ShardSource
 from repro.exec.faults import FaultPlan
 from repro.exec.plan import Shard
 from repro.exec.protocol import (
@@ -85,30 +48,20 @@ from repro.exec.protocol import (
     send_frame,
     send_message,
 )
+from repro.exec.scheduler import (
+    CONNECT_TIMEOUT_ENV,
+    ExecError,
+    _POLL_S,
+    _SupervisedSession,
+)
 from repro.exec.spill import SpillError, _SHARD_ARRAY_FIELDS
 from repro.exec.worker import (
-    FinalizeParams,
-    IterationParams,
+    _ITER,
     ShardState,
-    finalize_shard,
-    rebuild_state,
-    run_shard_iteration,
+    _describe_error,
+    param_vectors,
+    run_task,
 )
-
-#: How long the coordinator waits for the initial ``num_workers``
-#: registrations (and, mid-fit, for any worker at all to be connected)
-#: before giving up with an :class:`ExecError`.
-CONNECT_TIMEOUT_ENV = "KBT_REMOTE_CONNECT_TIMEOUT_S"
-_DEFAULT_CONNECT_TIMEOUT_S = 60.0
-
-_ITER = "iter"
-_FINAL = "final"
-
-
-def _connect_timeout_s() -> float:
-    return float(
-        os.environ.get(CONNECT_TIMEOUT_ENV, _DEFAULT_CONNECT_TIMEOUT_S)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -214,81 +167,42 @@ def _execute_task(
     faults: FaultPlan,
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Run one map step; returns the result message's (meta, arrays)."""
-    round_id = int(meta["round"])
-    shard_index = int(meta["shard"])
-    attempt = int(meta["attempt"])
+    kind = meta["task_kind"]
     reply: dict = {
-        "round": round_id,
-        "shard": shard_index,
-        "attempt": attempt,
-        "task_kind": meta["task_kind"],
+        "round": int(meta["round"]),
+        "shard": int(meta["shard"]),
+        "attempt": int(meta["attempt"]),
+        "task_kind": kind,
         "error": None,
     }
-    try:
-        delay = faults.delay_seconds(shard_index, round_id, attempt)
-        if delay > 0.0:
-            time.sleep(delay)
-        shard = packets.get(shard_index)
+
+    def fetch(index: int) -> Shard:
+        shard = packets.get(index)
         if shard is None:
             shard = _unpack_shard(meta, arrays)
             if shard is None:
                 raise SpillError(
-                    f"task for shard {shard_index} arrived without a "
-                    "packet and none is cached on this worker"
+                    f"task for shard {index} arrived without a packet "
+                    "and none is cached on this worker"
                 )
-            packets[shard_index] = shard
-        if faults.should_corrupt(shard_index, round_id, attempt):
-            raise SpillError(
-                f"injected corrupt packet read for shard {shard_index} "
-                f"(fault plan, round {round_id}, attempt {attempt}); "
-                "the spill directory is incomplete or corrupt — re-run "
-                "the fit with --spill-dir to regenerate it"
-            )
+            packets[index] = shard
+        return shard
+
+    try:
+        restore = None
         if "restore.priors" in arrays:
-            states[shard_index] = rebuild_state(
-                shard,
-                cfg,
-                arrays["restore.priors"],
-                arrays["restore.posterior"],
-            )
-        state = states.get(shard_index)
-        if state is None:
-            state = states[shard_index] = ShardState.initial(shard, cfg)
-        if meta["task_kind"] == _ITER:
-            do_prior = bool(meta["do_prior"])
-            base_scalar = meta["base_scalar"]
-            params = IterationParams(
-                do_prior_update=do_prior,
-                prior_accuracy=(
-                    arrays["param.accuracy"] if do_prior else None
-                ),
-                pre_vote=arrays["param.pre_vote"],
-                abs_vote=arrays["param.abs_vote"],
-                base_absence=(
-                    arrays["param.base_absence"]
-                    if cfg.absence_scope is AbsenceScope.ACTIVE
-                    else float(base_scalar)
-                ),
-                source_vote=arrays["param.source_vote"],
-            )
-            p_correct, posterior = run_shard_iteration(
-                shard, cfg, state, params
-            )
-            return reply, {"p_correct": p_correct, "posterior": posterior}
-        do_prior = bool(meta["do_prior"])
-        priors = finalize_shard(
-            shard,
-            cfg,
-            state,
-            FinalizeParams(
-                do_prior_update=do_prior,
-                accuracy=arrays["param.accuracy"] if do_prior else None,
-            ),
+            restore = (arrays["restore.priors"], arrays["restore.posterior"])
+        _, result = run_task(
+            kind, cfg, reply["shard"], reply["round"], reply["attempt"],
+            fetch=fetch, states=states, restore=restore,
+            do_prior=bool(meta["do_prior"]), base_scalar=meta["base_scalar"],
+            vectors=arrays, faults=faults,
         )
-        return reply, {"priors": priors}
     except Exception as exc:  # reported to the coordinator, never fatal
-        reply["error"] = f"{type(exc).__name__}: {exc}"
+        reply["error"] = _describe_error(exc)
         return reply, {}
+    names = ("p_correct", "posterior") if kind == _ITER else ("priors",)
+    return reply, dict(zip(names, result))
 
 
 def _unpack_shard(
@@ -328,12 +242,13 @@ def _pack_shard(shard: Shard) -> tuple[dict, dict[str, np.ndarray]]:
 class _RemoteWorker:
     """Coordinator-side record of one registered worker connection."""
 
-    __slots__ = ("index", "sock", "address", "alive", "shipped", "send_lock")
+    __slots__ = ("index", "sock", "label", "alive", "shipped", "send_lock")
 
-    def __init__(self, index: int, sock: socket.socket, address: str) -> None:
+    def __init__(self, index: int, sock: socket.socket, label: str) -> None:
         self.index = index
         self.sock = sock
-        self.address = address
+        #: The worker's ``host:port``, named in failure messages.
+        self.label = label
         self.alive = True
         #: Shard indices whose packet this connection already received.
         self.shipped: set[int] = set()
@@ -351,42 +266,28 @@ class _RemoteWorker:
             pass
 
 
-class _RemoteSession:
-    """The coordinator: accept registrations, supervise rounds.
+class _RemoteSession(_SupervisedSession):
+    """The scheduler's TCP transport: the coordinator.
 
-    Mirrors :class:`~repro.exec.backends._ProcessSession` — same
-    :class:`_ShardTask` round engine, same :class:`_Supervision` knobs,
-    same restore-snapshot contract toward the driver — with three
-    differences forced by distribution: results carry the actual output
-    slices (there is no shared memory, so the coordinator scatters
-    them), a lost/corrupt connection re-homes its shards to *survivors*
-    instead of spawning a replacement (new capacity only arrives when a
-    worker reconnects), and the round fence is pure bookkeeping (stale
-    results are discarded by round/attempt matching; a straggler's late
-    write cannot land anywhere because only the coordinator writes).
+    A task is one frame, carrying the shard packet the first time a
+    connection sees that shard. One reader thread per worker turns
+    result frames and broken connections into events on one queue,
+    which :meth:`_poll` drains. Results are scattered by the
+    coordinator. A lost connection's shards move to the least-loaded
+    survivor (new capacity only arrives when a worker reconnects). The
+    round fence is bookkeeping only: the coordinator alone writes the
+    outputs, so a superseded attempt's late result is simply discarded.
     """
 
     def __init__(self, source: ShardSource, cfg: MultiLayerConfig) -> None:
-        self._source = source
-        self._cfg = cfg
-        self._sup = _Supervision.from_env()
+        super().__init__(source, cfg)
         self._endpoint = cfg.remote_endpoint
         self._num_workers = cfg.num_workers or 1
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._readers: dict[int, threading.Thread] = {}
-        self._workers: dict[int, _RemoteWorker] = {}
-        self._workers_lock = threading.Lock()
-        self._next_worker = 0
         self._events: queue.Queue = queue.Queue()
         self._closing = False
-        self._home: dict[int, int] = {}
-        self._dirty: set[int] = set()
-        #: worker index -> set of (round, shard, attempt) not yet acked.
-        self._inflight: dict[int, set] = {}
-        self._round = 0
-        self._restore_priors: np.ndarray | None = None
-        self._restore_posterior: np.ndarray | None = None
         self._config_payload: dict | None = None
 
     # ------------------------------------------------------------------
@@ -411,12 +312,10 @@ class _RemoteSession:
                 name="kbt-remote-accept",
             )
             self._accept_thread.start()
-            self._restore_priors = np.full(
-                self._source.num_coords, self._cfg.alpha
-            )
-            self._restore_posterior = np.zeros(self._source.num_triples)
             self._await_workers(self._num_workers)
-            self._assign_homes()
+            alive = sorted(self._alive_workers(), key=lambda w: w.index)
+            for shard_index in range(self._source.num_shards):
+                self._home[shard_index] = alive[shard_index % len(alive)].index
         except BaseException:
             self.__exit__(None, None, None)
             raise
@@ -430,7 +329,7 @@ class _RemoteSession:
             if worker.alive:
                 try:
                     worker.send("stop", {}, {})
-                except (OSError, ProtocolError):
+                except OSError:
                     pass
             worker.close()
         if self._listener is not None:
@@ -480,7 +379,7 @@ class _RemoteSession:
                     },
                     {},
                 )
-            except (EOFError, ProtocolError, OSError):
+            except (EOFError, OSError):
                 try:
                     conn.close()
                 except OSError:
@@ -492,7 +391,6 @@ class _RemoteSession:
             )
             self._readers[index] = reader
             reader.start()
-            self._events.put(("join", worker.index))
 
     def _reader_loop(self, worker: _RemoteWorker) -> None:
         """Push one event per received result; 'dead' on any break.
@@ -504,352 +402,104 @@ class _RemoteSession:
         while True:
             try:
                 kind, meta, arrays = recv_message(worker.sock)
-            except (EOFError, OSError) as err:
-                self._events.put(
-                    ("dead", worker.index, f"connection lost ({err})")
+                if kind != "result":
+                    raise ProtocolError(
+                        f"unexpected {kind!r} message from worker"
+                    )
+                ack = (
+                    int(meta["round"]),
+                    int(meta["shard"]),
+                    int(meta["attempt"]),
+                    meta.get("error"),
                 )
+            except (EOFError, OSError, KeyError, TypeError, ValueError) as err:
+                self._events.put(("dead", worker.index, f"lost: {err!r}"))
                 return
-            except ProtocolError as err:
-                self._events.put(("dead", worker.index, str(err)))
-                return
-            if kind != "result":
-                self._events.put(
-                    ("dead", worker.index,
-                     f"unexpected {kind!r} message from worker")
-                )
-                return
-            self._events.put(("ack", worker.index, meta, arrays))
+            self._events.put(("ack", worker.index, *ack, arrays))
 
     def _await_workers(self, count: int) -> None:
         """Block until ``count`` workers are registered and alive."""
-        deadline = time.monotonic() + _connect_timeout_s()
+        timeout_s = self._sup.connect_timeout_s
+        deadline = time.monotonic() + timeout_s
         while True:
-            with self._workers_lock:
-                alive = sum(
-                    1 for w in self._workers.values() if w.alive
-                )
+            alive = len(self._alive_workers())
             if alive >= count:
                 return
             if time.monotonic() >= deadline:
                 raise ExecError(
                     f"remote backend: only {alive} of {count} worker(s) "
                     f"connected to {self._endpoint} within "
-                    f"{_connect_timeout_s():g}s; start workers with "
+                    f"{timeout_s:g}s; start workers with "
                     f"'kbt worker --connect {self._endpoint}' (or raise "
                     f"{CONNECT_TIMEOUT_ENV})"
                 )
             time.sleep(_POLL_S)
 
-    def _alive_workers(self) -> list[_RemoteWorker]:
-        with self._workers_lock:
-            return [w for w in self._workers.values() if w.alive]
-
-    def _assign_homes(self) -> None:
-        alive = sorted(self._alive_workers(), key=lambda w: w.index)
-        for shard_index in range(self._source.num_shards):
-            self._home[shard_index] = alive[shard_index % len(alive)].index
-
     # ------------------------------------------------------------------
-    # Restore state (same contract as the processes session)
+    # Transport hooks
     # ------------------------------------------------------------------
-    def set_restore_state(
-        self, priors: np.ndarray, posterior: np.ndarray
-    ) -> None:
-        self._restore_priors = priors
-        self._restore_posterior = posterior
-
-    def restore(self, priors: np.ndarray, posterior: np.ndarray) -> None:
-        """Resume from a checkpoint: every shard state must be rebuilt."""
-        self.set_restore_state(
-            np.array(priors, dtype=np.float64),
-            np.array(posterior, dtype=np.float64),
-        )
-        self._dirty.update(range(self._source.num_shards))
-
-    # ------------------------------------------------------------------
-    # Round engine (the _ProcessSession scheduler over TCP)
-    # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        task: _ShardTask,
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        params: IterationParams | FinalizeParams,
-        target: int | None = None,
-    ) -> None:
-        shard_index = task.shard
-        if target is None:
-            target = self._home[shard_index]
-        with self._workers_lock:
-            worker = self._workers[target]
-        attempt = task.next_attempt
-        task.next_attempt += 1
-        meta: dict = {
-            "task_kind": kind,
-            "round": round_id,
-            "shard": shard_index,
-            "attempt": attempt,
-            "do_prior": do_prior,
-            "base_scalar": None,
-        }
-        arrays: dict[str, np.ndarray] = {}
+    def _begin_round(self, kind, params) -> tuple[np.ndarray, ...]:
         if kind == _ITER:
-            arrays["param.pre_vote"] = params.pre_vote
-            arrays["param.abs_vote"] = params.abs_vote
-            arrays["param.source_vote"] = params.source_vote
-            if isinstance(params.base_absence, np.ndarray):
-                arrays["param.base_absence"] = params.base_absence
-            else:
-                meta["base_scalar"] = float(params.base_absence)
-            if do_prior:
-                arrays["param.accuracy"] = params.prior_accuracy
-        elif do_prior:
-            arrays["param.accuracy"] = params.accuracy
-        shard = None
-        if shard_index not in worker.shipped:
-            shard = self._source.get_shard(shard_index)
-            packet_meta, packet_arrays = _pack_shard(shard)
-            meta["packet"] = packet_meta
+            return (
+                np.empty(self._source.num_coords),
+                np.empty(self._source.num_triples),
+            )
+        return (np.empty(self._source.num_coords),)
+
+    def _send(self, worker: int, shard: int, attempt: int, restore) -> None:
+        target = self._workers[worker]
+        vectors, base_scalar = param_vectors(self._params)
+        meta: dict = {
+            "task_kind": self._kind,
+            "round": self._round,
+            "shard": shard,
+            "attempt": attempt,
+            "do_prior": self._params.do_prior_update,
+            "base_scalar": base_scalar,
+        }
+        # Parameter vectors travel under their plain names, beside the
+        # "packet." and "restore." segments.
+        arrays = dict(vectors)
+        if shard not in target.shipped:
+            meta["packet"], packet_arrays = _pack_shard(
+                self._source.get_shard(shard)
+            )
             arrays.update(packet_arrays)
-        if shard_index in self._dirty or target != self._home[shard_index]:
-            if shard is None:
-                shard = self._source.get_shard(shard_index)
-            arrays["restore.priors"] = self._restore_priors[shard.coord_idx]
-            arrays["restore.posterior"] = self._restore_posterior[
-                shard.triple_lo : shard.triple_hi
-            ]
+        if restore is not None:
+            arrays["restore.priors"], arrays["restore.posterior"] = restore
         try:
-            worker.send("task", meta, arrays)
-            worker.shipped.add(shard_index)
-        except (OSError, ProtocolError):
-            # The connection died under us; the reader thread's 'dead'
-            # event will fail this attempt and trigger re-dispatch.
-            pass
-        task.running[attempt] = target
-        self._inflight.setdefault(target, set()).add(
-            (round_id, shard_index, attempt)
-        )
-        if attempt == 0:
-            task.first_dispatch = time.monotonic()
+            target.send("task", meta, arrays)
+            target.shipped.add(shard)
+        except OSError:
+            pass  # the reader thread reports the dead connection
 
-    def _record_failure(
-        self, task: _ShardTask, round_id: int, cause: str
-    ) -> None:
-        task.failures += 1
-        task.last_error = cause
-        if task.failures >= self._sup.max_attempts:
-            raise ExecError(
-                f"shard {task.shard} map step failed after "
-                f"{task.failures} attempt(s) in round {round_id}; "
-                f"last error: {cause}",
-                shard_index=task.shard,
-                attempts=task.failures,
-            )
-        delay = min(
-            self._sup.backoff_base_s * (2.0 ** (task.failures - 1)),
-            self._sup.backoff_cap_s,
-        )
-        task.retry_at = time.monotonic() + delay
+    def _poll(self, timeout: float) -> list[tuple]:
+        try:
+            return [self._events.get(timeout=timeout)]
+        except queue.Empty:
+            return []
 
-    def _on_worker_dead(
-        self,
-        index: int,
-        reason: str,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-    ) -> None:
-        """Condemn a connection: fail its attempts, re-home its shards."""
-        with self._workers_lock:
-            worker = self._workers.get(index)
-        if worker is None or not worker.alive:
+    def _land(self, shard_index: int, arrays: dict) -> None:
+        """Scatter a winning result in engine array order (the
+        determinism ladder's reduce invariant)."""
+        shard = self._source.get_shard(shard_index)
+        if "priors" in arrays:
+            self._outputs[0][shard.coord_idx] = arrays["priors"]
             return
-        worker.close()
-        cause = (
-            f"worker {index} ({worker.address}) lost: {reason}"
-        )
-        died = self._inflight.pop(index, set())
-        survivors = self._alive_workers()
-        if not survivors:
+        p_correct, posterior = self._outputs
+        p_correct[shard.coord_idx] = arrays["p_correct"]
+        posterior[shard.triple_lo : shard.triple_hi] = arrays["posterior"]
+
+    def _replace(self, worker: int) -> int:
+        self._workers[worker].close()
+        if not self._alive_workers():
             # No capacity left: wait for any worker (a reconnecting one
-            # or a fresh join); give up with the address in the message.
+            # or a fresh join); give up with the endpoint in the message.
             self._await_workers(1)
-            survivors = self._alive_workers()
-        for shard_index, owner in self._home.items():
-            if owner == index:
-                replacement = min(
-                    survivors,
-                    key=lambda w: len(self._inflight.get(w.index, ())),
-                )
-                self._home[shard_index] = replacement.index
-                self._dirty.add(shard_index)
-        for rnd, shard_index, attempt in died:
-            if rnd != round_id:
-                continue
-            task = tasks.get(shard_index)
-            if task is None or task.done:
-                continue
-            task.running.pop(attempt, None)
-            if not task.running and task.retry_at is None:
-                self._record_failure(task, round_id, cause)
-
-    def _launch_due(
-        self,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        params,
-    ) -> None:
-        now = time.monotonic()
-        for task in tasks.values():
-            if task.done or task.retry_at is None or now < task.retry_at:
-                continue
-            task.retry_at = None
-            self._dispatch(task, round_id, kind, do_prior, params)
-
-    def _maybe_speculate(
-        self,
-        tasks: dict[int, _ShardTask],
-        round_id: int,
-        kind: str,
-        do_prior: bool,
-        params,
-        durations: list[float],
-        total: int,
-    ) -> None:
-        if self._sup.straggler_factor <= 0.0:
-            return
-        if 2 * len(durations) < total:
-            return
-        pending = [task for task in tasks.values() if not task.done]
-        if not pending:
-            return
-        deadline = max(
-            statistics.median(durations) * self._sup.straggler_factor,
-            self._sup.straggler_min_s,
-        )
-        now = time.monotonic()
-        for task in pending:
-            if (
-                task.speculated
-                or task.retry_at is not None
-                or not task.running
-            ):
-                continue
-            if now - task.first_dispatch < deadline:
-                continue
-            busy = set(task.running.values())
-            candidates = [
-                w for w in self._alive_workers() if w.index not in busy
-            ]
-            if not candidates:
-                continue
-            target = min(
-                candidates,
-                key=lambda w: len(self._inflight.get(w.index, ())),
-            ).index
-            task.speculated = True
-            self._dispatch(
-                task, round_id, kind, do_prior, params, target=target
-            )
-
-    def _run_round(
-        self,
-        kind: str,
-        do_prior: bool,
-        params,
-        scatter,
-    ) -> None:
-        self._round += 1
-        round_id = self._round
-        total = self._source.num_shards
-        tasks = {index: _ShardTask(index) for index in range(total)}
-        for task in tasks.values():
-            self._dispatch(task, round_id, kind, do_prior, params)
-        durations: list[float] = []
-        remaining = total
-        while remaining:
-            self._launch_due(tasks, round_id, kind, do_prior, params)
-            self._maybe_speculate(
-                tasks, round_id, kind, do_prior, params, durations, total
-            )
-            try:
-                event = self._events.get(timeout=_POLL_S)
-            except queue.Empty:
-                continue
-            if event[0] == "join":
-                continue  # new capacity; next dispatch can use it
-            if event[0] == "dead":
-                self._on_worker_dead(event[1], event[2], tasks, round_id)
-                continue
-            _, worker_index, meta, arrays = event
-            ack_round = int(meta["round"])
-            shard_index = int(meta["shard"])
-            attempt = int(meta["attempt"])
-            self._inflight.get(worker_index, set()).discard(
-                (ack_round, shard_index, attempt)
-            )
-            if ack_round != round_id:
-                continue  # stale result from a superseded round
-            task = tasks.get(shard_index)
-            if task is None or task.done:
-                continue  # duplicate: speculation lost the race
-            if meta.get("error") is not None:
-                with self._workers_lock:
-                    worker = self._workers.get(worker_index)
-                address = worker.address if worker else "?"
-                task.running.pop(attempt, None)
-                if not task.running and task.retry_at is None:
-                    self._record_failure(
-                        task,
-                        round_id,
-                        f"worker {worker_index} ({address}): "
-                        f"{meta['error']}",
-                    )
-                continue
-            # First result wins: scatter in the coordinator (engine
-            # array order — the determinism ladder's reduce invariant),
-            # and the acker keeps the shard's state for later rounds.
-            scatter(shard_index, arrays)
-            task.done = True
-            remaining -= 1
-            self._home[shard_index] = worker_index
-            self._dirty.discard(shard_index)
-            durations.append(time.monotonic() - task.first_dispatch)
-        # Round fence: pure bookkeeping here. Superseded attempts still
-        # in flight will ack with this round's id later and be discarded
-        # by the stale-round/duplicate checks above; only the
-        # coordinator writes to the output arrays, so no fence kill is
-        # needed to keep later rounds bit-identical.
-
-    # ------------------------------------------------------------------
-    # The ExecutionSession contract
-    # ------------------------------------------------------------------
-    def run_iteration(
-        self,
-        params: IterationParams,
-        out_p_correct: np.ndarray,
-        out_posterior: np.ndarray,
-    ) -> None:
-        def scatter(shard_index: int, arrays: dict) -> None:
-            shard = self._source.get_shard(shard_index)
-            out_p_correct[shard.coord_idx] = arrays["p_correct"]
-            out_posterior[shard.triple_lo : shard.triple_hi] = arrays[
-                "posterior"
-            ]
-
-        self._run_round(_ITER, params.do_prior_update, params, scatter)
-
-    def finalize(self, params: FinalizeParams) -> np.ndarray:
-        priors = np.empty(self._source.num_coords)
-
-        def scatter(shard_index: int, arrays: dict) -> None:
-            shard = self._source.get_shard(shard_index)
-            priors[shard.coord_idx] = arrays["priors"]
-
-        self._run_round(_FINAL, params.do_prior_update, params, scatter)
-        return priors
+        return min(
+            self._alive_workers(),
+            key=lambda w: len(self._inflight.get(w.index, ())),
+        ).index
 
 
 class RemoteBackend:

@@ -17,17 +17,31 @@ are *not* summed here: the driver re-assembles ``p_correct`` and
 ``posterior`` globally and reduces them in the engine's original array
 order, which is what makes sharded runs bit-identical to the unsharded
 numpy engine (see :mod:`repro.exec.plan`).
+
+:func:`run_task` is the body of one map task on a supervised worker —
+a ``processes`` worker process and a ``remote`` worker run the same
+steps; only how the task arrives and where its result goes differ.
 """
 
 from __future__ import annotations
 
+import time
+import traceback
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core.config import AbsenceScope, MultiLayerConfig
 from repro.core.engine_numpy import _log_odds, _seeded_vcc, _sigmoid
+from repro.exec.faults import FaultPlan
 from repro.exec.plan import Shard
+from repro.exec.spill import SpillError
+
+#: Task kinds: a map round (:class:`IterationParams`) or the final prior
+#: pass (:class:`FinalizeParams`).
+_ITER = "iter"
+_FINAL = "final"
 
 
 @dataclass
@@ -94,8 +108,8 @@ def rebuild_state(
     Inputs are the shard's slices of the end-of-round *global* priors
     and value posteriors (a checkpoint, or the driver's restore
     snapshot). The residual mass is a pure function of the posterior and
-    the shard's static item arrays; recomputing it here with the exact
-    expressions of :func:`run_shard_iteration` makes the rebuilt state
+    the shard's static item arrays; recomputing it here with the same
+    :func:`_residual` as :func:`run_shard_iteration` makes the rebuilt state
     bit-identical to the one that was lost — the property both
     checkpoint resume and mid-fit shard re-dispatch rest on.
 
@@ -106,14 +120,7 @@ def rebuild_state(
     """
     posterior = np.array(posterior, dtype=np.float64)
     if shard.num_items:
-        starts = shard.item_ptr[:-1]
-        posterior_mass = np.add.reduceat(posterior, starts)
-        residual = np.where(
-            shard.num_unobserved > 0.0,
-            np.maximum(1.0 - posterior_mass, 0.0)
-            / np.maximum(shard.num_unobserved, 1.0),
-            0.0,
-        )
+        residual = _residual(shard, posterior)
     else:
         posterior = np.zeros(0)
         residual = np.zeros(0)
@@ -121,6 +128,17 @@ def rebuild_state(
         priors=np.array(priors, dtype=np.float64),
         posterior=posterior,
         residual=residual,
+    )
+
+
+def _residual(shard: Shard, posterior: np.ndarray) -> np.ndarray:
+    """Each item's leftover posterior mass per unobserved value."""
+    posterior_mass = np.add.reduceat(posterior, shard.item_ptr[:-1])
+    return np.where(
+        shard.num_unobserved > 0.0,
+        np.maximum(1.0 - posterior_mass, 0.0)
+        / np.maximum(shard.num_unobserved, 1.0),
+        0.0,
     )
 
 
@@ -176,13 +194,7 @@ def run_shard_iteration(
             -shift
         )
         posterior = exp_votes / z[shard.triple_item]
-        posterior_mass = np.add.reduceat(posterior, starts)
-        residual = np.where(
-            shard.num_unobserved > 0.0,
-            np.maximum(1.0 - posterior_mass, 0.0)
-            / np.maximum(shard.num_unobserved, 1.0),
-            0.0,
-        )
+        residual = _residual(shard, posterior)
     else:
         posterior = np.zeros(0)
         residual = np.zeros(0)
@@ -229,3 +241,96 @@ def _update_shard_priors(
         cfg.prior_floor,
         cfg.prior_ceiling,
     )
+
+
+def param_vectors(
+    params: IterationParams | FinalizeParams,
+) -> tuple[dict[str, np.ndarray], float | None]:
+    """The named vectors a task's parameters travel as, plus the
+    ALL-scope ``base_absence`` scalar (None under ACTIVE and for the
+    final pass). :func:`run_task` reads them back by the same names."""
+    if isinstance(params, FinalizeParams):
+        if not params.do_prior_update:
+            return {}, None
+        return {"accuracy": params.accuracy}, None
+    vectors = {
+        "pre_vote": params.pre_vote,
+        "abs_vote": params.abs_vote,
+        "source_vote": params.source_vote,
+    }
+    if params.do_prior_update:
+        vectors["accuracy"] = params.prior_accuracy
+    if isinstance(params.base_absence, np.ndarray):
+        vectors["base_absence"] = params.base_absence
+        return vectors, None
+    return vectors, float(params.base_absence)
+
+
+def run_task(
+    kind: str,
+    cfg: MultiLayerConfig,
+    shard_index: int,
+    round_id: int,
+    attempt: int,
+    *,
+    fetch: Callable[[int], Shard],
+    states: dict[int, ShardState],
+    restore: tuple[np.ndarray, np.ndarray] | None,
+    do_prior: bool,
+    base_scalar: float | None,
+    vectors: Mapping[str, np.ndarray],
+    faults: FaultPlan,
+) -> tuple[Shard, tuple[np.ndarray, ...]]:
+    """Run one map task on a worker; return the shard and its results:
+    ``(p_correct, posterior)`` for a map round, ``(priors,)`` for the
+    final pass. ``restore`` rebuilds the shard state (a take-over or a
+    resume); ``vectors``/``base_scalar`` come from :func:`param_vectors`.
+    Map steps are idempotent (the deferred prior update is a pure
+    function of the previous round's state), so re-running an attempt
+    after a mid-step failure is always safe.
+    """
+    delay = faults.delay_seconds(shard_index, round_id, attempt)
+    if delay > 0.0:
+        time.sleep(delay)
+    shard = fetch(shard_index)
+    if faults.should_corrupt(shard_index, round_id, attempt):
+        raise SpillError(
+            f"injected corrupt packet read for shard {shard_index} "
+            f"(fault plan, round {round_id}, attempt {attempt}); the "
+            "spill directory is incomplete or corrupt — re-run the fit "
+            "with --spill-dir to regenerate it"
+        )
+    if restore is not None:
+        states[shard_index] = rebuild_state(shard, cfg, *restore)
+    state = states.get(shard_index)
+    if state is None:
+        state = states[shard_index] = ShardState.initial(shard, cfg)
+    accuracy = vectors["accuracy"] if do_prior else None
+    if kind == _FINAL:
+        final = FinalizeParams(do_prior_update=do_prior, accuracy=accuracy)
+        return shard, (finalize_shard(shard, cfg, state, final),)
+    params = IterationParams(
+        do_prior_update=do_prior,
+        prior_accuracy=accuracy,
+        pre_vote=vectors["pre_vote"],
+        abs_vote=vectors["abs_vote"],
+        base_absence=(
+            vectors["base_absence"]
+            if cfg.absence_scope is AbsenceScope.ACTIVE
+            else float(base_scalar)
+        ),
+        source_vote=vectors["source_vote"],
+    )
+    return shard, run_shard_iteration(shard, cfg, state, params)
+
+
+def _describe_error(exc: BaseException) -> str:
+    """What a worker reports on failure: user-facing errors (notably
+    :class:`SpillError`, whose message carries the regenerate remedy)
+    travel as their one-line message; everything else keeps the full
+    traceback for debugging."""
+    if isinstance(exc, SpillError):
+        return str(exc)
+    return "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__)
+    ).strip()
